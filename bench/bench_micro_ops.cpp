@@ -309,34 +309,20 @@ void bench_wire_path(Harness& h) {
       (void)sink;
     });
 
-    // The real thing over 127.0.0.1: framing + socket write + reader
-    // thread + ordered mailbox pop. Once with the default scatter-gather
-    // send (head + payload as two sendmsg iovecs, payload never copied
-    // into a wire buffer) and once with the legacy encode-then-write
-    // path, so the copy's cost is the visible delta between the two.
-    struct SendPath {
-      const char* name;
-      bool scatter_gather;
-    };
-    for (const SendPath path : {SendPath{"", true},
-                                SendPath{"Copy", false}}) {
-      dist::TcpOptions opts;
-      opts.scatter_gather = path.scatter_gather;
-      auto server = dist::TcpNetwork::serve(0, 1, opts);
-      auto worker =
-          dist::TcpNetwork::connect("127.0.0.1", server->port(), 1, 1,
-                                    opts);
-      server->wait_ready();
-      h.run("BM_TcpLoopbackSendRecv" + std::string(path.name) + suffix, 0,
-            [&] {
-              ByteBuffer buf;
-              buf.write_floats(values.data(), values.size());
-              worker->send(1, dist::kServerId, "fb", std::move(buf));
-              auto m = server->receive_tagged(dist::kServerId, "fb");
-              volatile std::size_t sink = m->payload.size();
-              (void)sink;
-            });
-    }
+    // The real thing over 127.0.0.1: framing + a gathered sendmsg from
+    // the caller's thread + the receiving endpoint's event loop + the
+    // ordered mailbox pop.
+    auto server = dist::TcpNetwork::serve(0, 1);
+    auto worker = dist::TcpNetwork::connect("127.0.0.1", server->port(), 1, 1);
+    server->wait_ready();
+    h.run("BM_TcpLoopbackSendRecv" + suffix, 0, [&] {
+      ByteBuffer buf;
+      buf.write_floats(values.data(), values.size());
+      worker->send(1, dist::kServerId, "fb", std::move(buf));
+      auto m = server->receive_tagged(dist::kServerId, "fb");
+      volatile std::size_t sink = m->payload.size();
+      (void)sink;
+    });
   }
 }
 

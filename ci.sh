@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verify: configure, build everything, run the full test suite,
 # then smoke-run the simulated-time straggler bench (virtual-clock
-# path), the micro-op bench, and a real loopback TCP training run
+# path), the micro-op bench, the end-to-end benchmark's workloads, and
+# a real loopback TCP training run
 # (server + 2 worker processes) checked bit-for-bit against the
 # simulator, so neither the clock nor the socket path can silently rot.
 # Mirrors the command in ROADMAP.md; run from the repo root.
@@ -9,11 +10,12 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # `ci.sh --tsan`: ThreadSanitizer pass over the concurrency-heavy
-# dist/core tests (reader threads, the per-connection writer queues and
-# their backpressure, the acceptor's control pump, mark_dead vs close,
-# the pipeline prefetch thread) in its own build tree, then a
-# heartbeat-enabled loopback run — the ping/pong pump, the liveness tracker and the
-# reader threads all under the race detector at once — and exit.
+# dist/core tests (each endpoint's event loop against the engine
+# threads that send into its connection queues and block on their
+# backpressure, mark_dead vs close, the pipeline prefetch thread) in
+# its own build tree, then a heartbeat-enabled loopback run — the
+# ping/pong timer, the liveness tracker and the event loops all under
+# the race detector at once — and exit.
 if [ "${1:-}" = "--tsan" ]; then
   cmake -B build-tsan -S . -DMDGAN_TSAN=ON \
     -DMDGAN_BUILD_BENCHES=OFF -DMDGAN_BUILD_EXAMPLES=ON
@@ -75,6 +77,9 @@ echo "--- smoke: bench_stragglers --tiny"
 
 echo "--- smoke: bench_micro_ops --tiny"
 ./bench_micro_ops --tiny --json=BENCH_micro_ops.json
+
+echo "--- smoke: end-to-end benchmark (a few rounds of every workload)"
+(cd .. && bash bench/e2e/run.sh --smoke)
 
 echo "--- smoke: mdgan_node loopback TCP (server + 2 workers vs sim)"
 # Both the sim and the TCP server run with telemetry on: the checksum
@@ -370,6 +375,14 @@ grep -q 'all 3 workers connected' kill_server.log || {
 sleep 1.2  # a few rounds in: the kill lands mid-round
 kill -9 "$W3_PID"
 echo "killed worker 3 (pid $W3_PID)"
+# A restart re-dials once the old process is gone. Tearing a killed
+# process down can take longer than a fresh one needs to dial, and a
+# hello for a still-connected id is a rejected duplicate, so wait for
+# the server to see the EOF first.
+for _ in $(seq 1 100); do
+  grep -q 'node 3 disconnected' kill_server.log && break
+  sleep 0.05
+done
 # While the survivors keep training, a fresh process re-dials as the
 # dead id: the control plane must grant the rejoin, ship the !state
 # transfer at the next round boundary, and the reborn worker must
@@ -439,8 +452,9 @@ echo "--- drill: transient partition inside the grace window (SIGSTOP)"
 # suspect threshold but resumed well inside the grace window: the
 # server must SUSPECT it (logged + counted) yet never declare it dead —
 # no !death fan-out to the survivor, no epoch churn, no rejoin cycle —
-# and the run must finish every round with finite weights.
-PART_FLAGS="--workers=2 --iters=12 --k=2 --swap=0 --recv-timeout=20 \
+# and the run must finish every round with finite weights. 40 rounds
+# of 40 ms steps keep the run going well past the stop on a fast host.
+PART_FLAGS="--workers=2 --iters=40 --k=2 --swap=0 --recv-timeout=20 \
   --heartbeat-ms=100 --suspect-ms=400 --grace-ms=6000 --log-level=info"
 ./mdgan_node --role=server --port=0 $PART_FLAGS \
   --metrics-out=part_metrics.jsonl > part_server.log 2>&1 &

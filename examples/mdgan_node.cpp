@@ -26,7 +26,7 @@
 // its learning rate by 1/(1 + damping * staleness)). --pipeline=1
 // overlaps generation of round i+1 with round i's feedback drain (async
 // server; sync runs stay bit-identical), and --send-queue-depth bounds
-// each TCP connection's async writer queue.
+// each TCP connection's send queue.
 //
 // Observability: --trace-out=PATH writes a Chrome trace-event JSON
 // (load in Perfetto / chrome://tracing: one track per node, spans for
@@ -181,8 +181,9 @@ NodeConfig parse_training_flags(const CliFlags& flags) {
       static_cast<float>(flags.get_double("staleness-damping", 0.0));
   // Pipelined rounds: with --server-mode=async the server snapshots θ
   // and generates round i+1 while round i's feedbacks drain; in sync
-  // mode the overlap is transport-level only (async connection writers)
-  // and the run stays bit-identical to --pipeline=0.
+  // mode the overlap is transport-level only (queued sends drain on the
+  // transport's event loop) and the run stays bit-identical to
+  // --pipeline=0.
   nc.cfg.pipeline = flags.get_bool("pipeline", false);
   const std::string codec = flags.get("compress", "none");
   if (codec == "int8") {
@@ -234,8 +235,8 @@ dist::TcpOptions tcp_options_from(const CliFlags& flags) {
   opts.suspect_after_s =
       flags.get_double("suspect-ms", opts.suspect_after_s * 1000.0) / 1000.0;
   opts.grace_s = flags.get_double("grace-ms", opts.grace_s * 1000.0) / 1000.0;
-  // Per-connection async writer queue bound (frames); a full queue
-  // backpressures the producer until the writer drains a slot.
+  // Per-connection send queue bound (frames); a full queue
+  // backpressures the producer until the event loop drains a slot.
   opts.send_queue_depth = static_cast<std::size_t>(flags.get_int(
       "send-queue-depth", static_cast<std::int64_t>(opts.send_queue_depth)));
   return opts;

@@ -131,10 +131,10 @@ struct MdGanConfig {
   // generating + serializing round i+1's batches on a background thread
   // while round i's feedbacks drain (double-buffered generator state;
   // the latent draw order from server_rng_ is unchanged). In sync mode
-  // the flag is accepted but the overlap stays transport-level (async
-  // connection writers): the barrier fold re-forwards this round's
-  // latents against unchanged parameters, so a sync run is bit-identical
-  // with or without the flag.
+  // the flag is accepted but the overlap stays transport-level (queued
+  // sends drain on the transport's event loop): the barrier fold
+  // re-forwards this round's latents against unchanged parameters, so a
+  // sync run is bit-identical with or without the flag.
   bool pipeline = false;
   // §VII-2 feedback compression on the W->C link.
   dist::CompressionConfig feedback_compression;

@@ -194,7 +194,7 @@ struct RoundEngineConfig {
   // ignores the flag here — its barrier fold re-forwards this round's
   // latents against unchanged parameters, so generation must not move
   // ahead of the fold; a sync run with pipeline on is bit-identical to
-  // one without (the transport's async writers still overlap its sends).
+  // one without (the transport's event loop still drains queued sends).
   bool pipeline = false;
   // Tag of the worker->server feedback messages the collect loop pops.
   std::string feedback_tag = "feedback";

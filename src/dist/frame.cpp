@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 
 namespace mdgan::dist {
@@ -103,55 +104,76 @@ Frame decode_frame_body(const std::uint8_t* body, std::size_t len) {
   return f;
 }
 
-bool read_exact(int fd, std::uint8_t* dst, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::recv(fd, dst + got, n - got, 0);
-    if (r > 0) {
-      got += static_cast<std::size_t>(r);
-      continue;
+FrameReader::Status FrameReader::read(int fd, Frame& out) {
+  for (;;) {
+    std::uint8_t* dst = fixed_;
+    std::size_t want = kFrameHeaderBytes;
+    if (stage_ == Stage::kFixed) {
+      dst = fixed_ + kFrameHeaderBytes;
+      want = kFrameBodyFixedBytes;
+    } else if (stage_ == Stage::kTag) {
+      dst = reinterpret_cast<std::uint8_t*>(&frame_.tag[0]);
+      want = frame_.tag.size();
+    } else if (stage_ == Stage::kPayload) {
+      dst = payload_.data();
+      want = payload_.size();
     }
-    if (r < 0 && errno == EINTR) continue;
-    return false;  // EOF, timeout, or hard error: the peer is gone
+    if (got_ < want) {
+      const ssize_t r = ::recv(fd, dst + got_, want - got_, 0);
+      if (r > 0) {
+        got_ += static_cast<std::size_t>(r);
+        continue;
+      }
+      if (r < 0 && errno == EINTR) continue;
+      if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        return Status::kAgain;
+      }
+      return Status::kClosed;  // EOF or hard error: the peer is gone
+    }
+    got_ = 0;
+    if (stage_ == Stage::kHeader) {
+      try {
+        body_len_ = decode_frame_header(fixed_);
+      } catch (const std::exception&) {
+        return Status::kClosed;
+      }
+      stage_ = Stage::kFixed;
+    } else if (stage_ == Stage::kFixed) {
+      const std::uint8_t* b = fixed_ + kFrameHeaderBytes;
+      frame_.src = static_cast<std::int32_t>(read_le32(b));
+      frame_.dst = static_cast<std::int32_t>(read_le32(b + 4));
+      const std::uint32_t tag_len = read_le32(b + 8);
+      frame_.ctx.node = read_le32(b + 12);
+      frame_.ctx.seq = read_le32(b + 16);
+      frame_.ctx.span = read_le64(b + 20);
+      if (tag_len > kMaxFrameTagBytes ||
+          kFrameBodyFixedBytes + static_cast<std::size_t>(tag_len) >
+              body_len_) {
+        return Status::kClosed;  // tag overruns the body (or is absurd)
+      }
+      frame_.tag.assign(tag_len, '\0');
+      stage_ = Stage::kTag;
+    } else if (stage_ == Stage::kTag) {
+      try {  // a valid header may still announce more than we can hold
+        payload_.resize(body_len_ - kFrameBodyFixedBytes - frame_.tag.size());
+      } catch (const std::bad_alloc&) {
+        return Status::kClosed;
+      }
+      stage_ = Stage::kPayload;
+    } else {
+      frame_.payload = ByteBuffer::adopt(std::move(payload_));
+      out = std::move(frame_);
+      frame_ = Frame{};
+      payload_ = {};
+      stage_ = Stage::kHeader;
+      return Status::kFrame;
+    }
   }
-  return true;
 }
 
 bool read_frame(int fd, Frame& out) {
-  std::uint8_t header[kFrameHeaderBytes];
-  if (!read_exact(fd, header, sizeof(header))) return false;
-  std::uint32_t body_len = 0;
-  try {
-    body_len = decode_frame_header(header);
-  } catch (const std::exception&) {
-    return false;
-  }
-  std::uint8_t fixed[kFrameBodyFixedBytes];
-  if (!read_exact(fd, fixed, sizeof(fixed))) return false;
-  out.src = static_cast<std::int32_t>(read_le32(fixed));
-  out.dst = static_cast<std::int32_t>(read_le32(fixed + 4));
-  const std::uint32_t tag_len = read_le32(fixed + 8);
-  out.ctx.node = read_le32(fixed + 12);
-  out.ctx.seq = read_le32(fixed + 16);
-  out.ctx.span = read_le64(fixed + 20);
-  if (tag_len > kMaxFrameTagBytes ||
-      kFrameBodyFixedBytes + static_cast<std::size_t>(tag_len) > body_len) {
-    return false;  // tag overruns the announced body (or is absurd)
-  }
-  out.tag.resize(tag_len);
-  if (tag_len > 0 &&
-      !read_exact(fd, reinterpret_cast<std::uint8_t*>(&out.tag[0]),
-                  tag_len)) {
-    return false;
-  }
-  std::vector<std::uint8_t> payload(body_len - kFrameBodyFixedBytes -
-                                    tag_len);
-  if (!payload.empty() &&
-      !read_exact(fd, payload.data(), payload.size())) {
-    return false;
-  }
-  out.payload = ByteBuffer::adopt(std::move(payload));
-  return true;
+  FrameReader reader;
+  return reader.read(fd, out) == FrameReader::Status::kFrame;
 }
 
 }  // namespace mdgan::dist

@@ -49,9 +49,6 @@
 //                  it by the admission round's own boundary — all roles
 //                  admit (and seed the rebirth) on the same round.
 //   !ping    S->W  heartbeat probe: u64 sequence, f64 send timestamp
-//                  (server clock, seconds). The worker echoes the
-//                  payload verbatim.
-//   !ping    S->W  heartbeat probe: u64 sequence, f64 send timestamp
 //                  (server clock, seconds), then optionally i64 server
 //                  tracer nanoseconds (-1 when the server runs without
 //                  a tracer). The worker echoes the payload verbatim,
@@ -71,8 +68,10 @@
 //
 // The codec is pure (bytes in, bytes out) so the framing cost is
 // measurable in bench_micro_ops without sockets, and fuzzable in tests.
-// read_frame is the one socket-facing function: it cuts a blocking fd
-// into frames and is what the adversarial socketpair fuzz drives.
+// FrameReader is the one socket-facing parser: it cuts a byte stream
+// into frames incrementally, so a nonblocking event loop can feed it
+// whatever bytes have arrived; read_frame runs it to completion on a
+// blocking fd and is what the adversarial socketpair fuzz drives.
 #pragma once
 
 #include <cstddef>
@@ -144,7 +143,7 @@ std::uint32_t read_le32(const std::uint8_t* p);
 std::uint64_t read_le64(const std::uint8_t* p);
 
 // Serializes header + body into one contiguous buffer, ready for a
-// single write(2). Copies the payload; the scatter-gather send path
+// single write(2). Copies the payload; TcpNetwork's gathered send
 // uses encode_frame_head + an iovec over the payload instead.
 std::vector<std::uint8_t> encode_frame(int src, int dst,
                                        const std::string& tag,
@@ -169,18 +168,36 @@ std::uint32_t decode_frame_header(const std::uint8_t header[kFrameHeaderBytes]);
 // Throws std::runtime_error on a malformed body.
 Frame decode_frame_body(const std::uint8_t* body, std::size_t len);
 
-// Blocking exact-size read off a connected socket. False on EOF, error,
-// or (if the fd carries SO_RCVTIMEO) timeout.
-bool read_exact(int fd, std::uint8_t* dst, std::size_t n);
+// Incremental frame reassembly off one stream socket. Each read() pulls
+// bytes in stages — header, fixed body fields, tag, then the payload
+// straight into the buffer the Frame's ByteBuffer adopts (the
+// payload bytes, the bulk of a swap frame, are copied off the socket
+// exactly once) — and keeps its place across calls, so a frame may
+// arrive split at any byte. A malformed header (bad magic, oversize
+// body_len, tag overrun) is rejected BEFORE any payload allocation, so
+// a corrupt or adversarial stream can neither crash the reader nor
+// drive a giant allocation.
+class FrameReader {
+ public:
+  enum class Status {
+    kFrame,   // one whole frame was moved into `out`
+    kAgain,   // no more bytes for now (EAGAIN, or an SO_RCVTIMEO expiry)
+    kClosed,  // EOF, a socket error, or bytes that are not a valid frame
+  };
+  Status read(int fd, Frame& out);
 
-// Reads one full frame off `fd`, incrementally: header, fixed body
-// fields, tag, then the payload straight into the buffer the Frame's
-// ByteBuffer adopts — the payload bytes (the bulk of a swap frame) are
-// copied off the socket exactly once. False when the stream ended or
-// the bytes are not a valid frame; a malformed header (bad magic,
-// oversize body_len, tag overrun) is rejected BEFORE any payload
-// allocation, so a corrupt or adversarial stream can neither crash the
-// reader nor drive a giant allocation.
+ private:
+  enum class Stage { kHeader, kFixed, kTag, kPayload };
+  Stage stage_ = Stage::kHeader;
+  std::size_t got_ = 0;  // bytes of the current stage received so far
+  std::uint8_t fixed_[kFrameHeaderBytes + kFrameBodyFixedBytes] = {};
+  std::uint32_t body_len_ = 0;
+  Frame frame_;
+  std::vector<std::uint8_t> payload_;
+};
+
+// Reads one full frame off a blocking `fd`. False when the stream ended,
+// timed out, or the bytes are not a valid frame.
 bool read_frame(int fd, Frame& out);
 
 }  // namespace mdgan::dist

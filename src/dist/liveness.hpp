@@ -14,7 +14,7 @@
 // same id, with no membership epoch change and no death/rejoin cycle.
 //
 // The tracker itself is pure and time-fed: the caller supplies `now`
-// (TcpNetwork feeds its wall clock from the acceptor pump, tests feed
+// (TcpNetwork feeds its wall clock from its event-loop timer, tests feed
 // synthetic time), and the caller owns all locking. That keeps the
 // state machine unit-testable without sockets and lets SimNetwork
 // replay identical transitions deterministically from its virtual

@@ -1,7 +1,6 @@
 #include "dist/sim_network.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 namespace mdgan::dist {
@@ -12,7 +11,6 @@ SimNetwork::SimNetwork(std::size_t n_workers) : n_workers_(n_workers) {
   }
   alive_.assign(n_workers_ + 1, true);
   mailbox_.resize(n_workers_ + 1);
-  send_seq_.assign(n_workers_ + 1, 0);
   ingress_window_.assign(n_workers_ + 1, 0);
   ingress_max_.assign(n_workers_ + 1, 0);
   sim_time_.assign(n_workers_ + 1, 0.0);
@@ -146,29 +144,16 @@ void SimNetwork::send(int from, int to, const std::string& tag,
                  static_cast<std::uint32_t>(
                      ++flow_seq_[pair_index(from, to)]));
 
-  Stored s;
-  s.seq = send_seq_[static_cast<std::size_t>(from)]++;
-  s.msg.from = from;
-  s.msg.tag = tag;
-  s.msg.payload = std::move(payload);
-  s.msg.arrival_s = arrival;
-  s.msg.flow = flow;
-  mailbox_[static_cast<std::size_t>(to)].push_back(std::move(s));
+  Message msg;
+  msg.from = from;
+  msg.tag = tag;
+  msg.payload = std::move(payload);
+  msg.arrival_s = arrival;
+  msg.flow = flow;
+  mailbox_[static_cast<std::size_t>(to)].push(std::move(msg));
   }  // mu_ released before touching the tracer
 
-  if (tracer != nullptr) {
-    obs::TraceEvent ev;
-    std::snprintf(ev.name, obs::TraceEvent::kNameCap, "send:%s", tag.c_str());
-    ev.cat = obs::Cat::kNet;
-    ev.node = from;
-    ev.wall_t0_ns = wall_t0;
-    ev.wall_dur_ns = tracer->now_ns() - wall_t0;
-    ev.sim_t0 = depart_s;
-    ev.sim_t1 = arrive_s;
-    ev.bytes = n_bytes;
-    ev.flow = flow;
-    tracer->emit(ev);
-  }
+  trace_send(tracer, from, tag, wall_t0, depart_s, arrive_s, n_bytes, flow);
 }
 
 std::optional<Message> SimNetwork::receive_tagged(int node,
@@ -181,18 +166,8 @@ std::optional<Message> SimNetwork::receive_tagged(int node,
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!alive_[static_cast<std::size_t>(node)]) return std::nullopt;
-    auto& box = mailbox_[static_cast<std::size_t>(node)];
-    auto best = box.end();
-    for (auto it = box.begin(); it != box.end(); ++it) {
-      if (it->msg.tag != tag) continue;
-      if (best == box.end() || it->msg.from < best->msg.from ||
-          (it->msg.from == best->msg.from && it->seq < best->seq)) {
-        best = it;
-      }
-    }
-    if (best == box.end()) return std::nullopt;
-    out = std::move(best->msg);
-    box.erase(best);
+    out = mailbox_[static_cast<std::size_t>(node)].pop(tag);
+    if (!out) return std::nullopt;
     // Consuming a message is the receiver's next event: its clock jumps
     // forward to the arrival time (never backward — the receiver may
     // already be later because of advance_time or an earlier arrival).
@@ -201,19 +176,7 @@ std::optional<Message> SimNetwork::receive_tagged(int node,
     clock_after = clock;
   }  // mu_ released before touching the tracer
 
-  if (tracer != nullptr) {
-    obs::TraceEvent ev;
-    std::snprintf(ev.name, obs::TraceEvent::kNameCap, "recv:%s", tag.c_str());
-    ev.cat = obs::Cat::kNet;
-    ev.node = node;
-    ev.wall_t0_ns = wall_t0;
-    ev.wall_dur_ns = tracer->now_ns() - wall_t0;
-    ev.sim_t0 = out->arrival_s;
-    ev.sim_t1 = clock_after;
-    ev.bytes = out->payload.size();
-    ev.flow = out->flow;
-    tracer->emit(ev);
-  }
+  trace_recv(tracer, node, wall_t0, *out, clock_after);
   return out;
 }
 

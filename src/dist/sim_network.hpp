@@ -14,7 +14,7 @@
 // keeps parallel and sequential runs bit-identical
 // (tests/core/test_md_gan.cpp ParallelAndSequential). A corollary the
 // protocols rely on: two sends issued by the same sender in program
-// order are assigned increasing sequence numbers under one mutex, so
+// order are queued in that order under one mutex (dist::Mailbox), so
 // per-sender FIFO holds even when sends race on the cluster thread
 // pool (tests/dist/test_network.cpp SameSenderFifoUnderClusterPool).
 //
@@ -57,6 +57,7 @@
 #include "common/serialize.hpp"
 #include "dist/link_model.hpp"
 #include "dist/liveness.hpp"
+#include "dist/mailbox.hpp"
 #include "dist/transport.hpp"
 
 namespace mdgan::dist {
@@ -126,11 +127,6 @@ class SimNetwork final : public Transport {
   std::uint64_t suspect_count() const;
 
  private:
-  struct Stored {
-    std::uint64_t seq = 0;  // per-sender sequence, assigned at send
-    Message msg;
-  };
-
   void check_node(int node) const;
   std::size_t link_index(LinkKind kind) const {
     return static_cast<std::size_t>(kind);
@@ -145,8 +141,7 @@ class SimNetwork final : public Transport {
   mutable std::mutex mu_;
   std::vector<bool> alive_;                  // index 0 = server
   std::uint64_t epoch_ = 0;  // bumped once per first crash of a worker
-  std::vector<std::vector<Stored>> mailbox_;  // per destination node
-  std::vector<std::uint64_t> send_seq_;       // per sender node
+  std::vector<Mailbox> mailbox_;  // per destination node
   LinkTotals totals_[3];
   std::vector<std::uint64_t> ingress_window_;  // open window, per node
   std::vector<std::uint64_t> ingress_max_;     // closed-window max

@@ -14,14 +14,32 @@
 // overhead and control frames are never charged.
 //
 // Ordering: each endpoint feeds arriving frames into the same
-// (sender, per-sender sequence)-ordered mailbox the simulator uses.
-// Per-sender FIFO is inherited from TCP's in-order delivery (one
+// (sender, per-sender sequence)-ordered dist::Mailbox the simulator
+// uses. Per-sender FIFO is inherited from TCP's in-order delivery (one
 // connection per worker; relayed frames from one source are forwarded
-// by a single reader thread in arrival order), and receive_tagged pops
-// the lowest (sender, seq) key among queued matches. Unlike SimNetwork
-// it BLOCKS until a match arrives — the sender lives in another
-// process — returning std::nullopt only when the local node is dead or
-// the configured receive timeout expires.
+// by the one event loop in arrival order), and receive_tagged pops the
+// lowest (sender, seq) key among queued matches. Unlike SimNetwork it
+// BLOCKS until a match arrives — the sender lives in another process —
+// returning std::nullopt only when the local node is dead or the
+// configured receive timeout expires.
+//
+// Threading: each endpoint, server or worker, runs exactly ONE thread,
+// an epoll event loop. It owns the listen socket, every connection, an
+// eventfd wake-up and a timer (every 200 ms, or the heartbeat interval
+// when shorter) that drives the heartbeats and the control pump — the
+// !death / !epoch fan-out of membership changes. Each connection is a
+// nonblocking frame-reassembly state machine (dist::FrameReader) on its
+// read side and a drain of a bounded FIFO of outgoing frames on its
+// write side. An unfinished hello or a `!stats` probe is just another
+// connection state, so a stalled or hostile dialer cannot hold up the
+// rendezvous, the control pump or the heartbeats. send() runs on the
+// caller's thread: with the connection's queue empty it writes straight
+// to the socket and queues only what the socket did not take; a full
+// queue blocks the caller (backpressure) until the loop drains a slot
+// or the connection dies. The loop itself never blocks: control frames
+// bypass the bound, and a relayed W->W frame whose destination queue is
+// full turns off reading from its source connection until that queue
+// drains.
 //
 // Liveness: fail-stop, detected, and PROPAGATED. A dropped connection
 // (EOF or a socket error on read/write) marks the peer dead exactly
@@ -38,7 +56,7 @@
 //  * a detected death additionally broadcasts a !death notice, so
 //    surviving workers map the victim onto fail-stop without ever
 //    having exchanged a byte with it;
-//  * the acceptor stays alive past the rendezvous, and a re-dial from
+//  * the listener stays open past the rendezvous, and a re-dial from
 //    an id whose previous connection died is GRANTED (a !rejoin frame,
 //    then the !epoch ack) instead of rejected as a duplicate hello —
 //    the worker comes back under a bumped epoch, exactly like an
@@ -73,6 +91,7 @@
 
 #include "dist/frame.hpp"
 #include "dist/liveness.hpp"
+#include "dist/mailbox.hpp"
 #include "dist/transport.hpp"
 
 namespace mdgan::dist {
@@ -92,8 +111,8 @@ struct TcpOptions {
   // trips first.
   int dial_retries = 100;
   double dial_backoff_ms = 25.0;
-  // Heartbeats (server endpoint): `!ping` every heartbeat_interval_s on
-  // the acceptor pump; 0 (default) disables them and with them the
+  // Heartbeats (server endpoint): `!ping` every heartbeat_interval_s,
+  // timed by the event loop; 0 (default) disables them and with them the
   // suspect machinery — liveness then only reacts to connection drops,
   // the pre-liveness behavior. A worker silent for suspect_after_s is
   // SUSPECTED (logged + counted, nothing evicted; the engine degrades
@@ -103,18 +122,11 @@ struct TcpOptions {
   double heartbeat_interval_s = 0.0;
   double suspect_after_s = 2.0;
   double grace_s = 8.0;
-  // Scatter-gather sends: frame head and payload go out as iovecs
-  // of one sendmsg(2) — one iovec per SharedBuf segment — so the
-  // payload (the bulk of a swap frame, which the relay pays twice) is
-  // never copied into a contiguous wire buffer. Off = the legacy
-  // encode-then-write path; the wire bytes are identical either way
-  // (BM_TcpLoopbackSendRecv benches the delta).
-  bool scatter_gather = true;
-  // Bound of the per-connection async send queue (frames). Every write
-  // is enqueued and drained by the connection's writer thread; a full
-  // queue blocks the producer (backpressure, observed by the
-  // send_queue_stall_seconds histogram) until the writer frees a slot
-  // or the peer dies — a dead peer's queue is dropped wholesale so the
+  // Bound of the per-connection send queue (frames). A frame the socket
+  // does not take at once waits here for the event loop to drain it; a
+  // full queue blocks the producer (backpressure, observed by the
+  // send_queue_stall_seconds histogram) until the loop frees a slot or
+  // the peer dies — a dead peer's queue is dropped wholesale so the
   // crash control plane never waits on undeliverable frames.
   std::size_t send_queue_depth = 128;
 };
@@ -153,9 +165,10 @@ class TcpNetwork final : public Transport {
   // endpoint that is tearing down.
   bool wait_ready();
 
-  // Idempotent teardown (also run by the destructor): stops the
-  // acceptor and reader threads and severs every connection. Any
-  // blocked wait_ready()/receive_tagged() returns false/nullopt.
+  // Idempotent teardown (also run by the destructor): gives queued
+  // frames a bounded linger to reach the wire, then stops the event loop
+  // and severs every connection. Any blocked wait_ready()/
+  // receive_tagged()/send() returns false/nullopt.
   void close();
 
   // True once the server granted this worker endpoint a rejoin (its id
@@ -195,8 +208,8 @@ class TcpNetwork final : public Transport {
   void begin_iteration(std::int64_t iter) override;
   void send(int from, int to, const std::string& tag,
             ByteBuffer&& payload) override;
-  // Zero-copy broadcast path: the payload segments ride the queue and
-  // the sendmsg iovec array by reference; W queued broadcast frames
+  // Zero-copy broadcast path: the payload segments ride the sendmsg
+  // iovec array (and the send queue) by reference; W queued broadcast frames
   // share one serialized batch. Wire bytes and charges are identical to
   // sending payload.concat().
   void send(int from, int to, const std::string& tag,
@@ -228,101 +241,103 @@ class TcpNetwork final : public Transport {
   bool await_alive(int node, double timeout_s) override;
 
  private:
-  // One frame staged for the connection's writer thread: the pre-payload
-  // bytes (header + fixed fields + tag) plus the refcounted payload
-  // segments, written as one gathered sendmsg. Broadcast frames queued
-  // to W connections share their batch segments — the queue holds
-  // references, never copies.
+  // One outgoing frame: the pre-payload bytes (header + fixed fields +
+  // tag) plus the refcounted payload segments, written as one gathered
+  // sendmsg. Broadcast frames queued to W connections share their batch
+  // segments — the queue holds references, never copies.
   struct OutFrame {
     std::vector<std::uint8_t> head;
     SharedBuf body;
+    std::size_t sent = 0;  // bytes already on the wire
   };
-  struct Conn {
-    int fd = -1;
-    // Guards queue/stop/dead/inflight (and fd at close). Producers
-    // enqueue under it; the writer thread drains in enqueue order, so
-    // per-connection FIFO — the ordering contract the !admit broadcast
-    // and the mailbox rely on — is preserved across the async hop.
-    std::mutex write_mu;
-    std::condition_variable write_cv;
+  struct Conn : std::enable_shared_from_this<Conn> {
+    int fd = -1;  // written only by the loop, under mu_
+    // Worker id (server side) or kServerId (worker side); -1 while the
+    // connection has not introduced itself yet.
+    int peer = -1;
+    // Loop thread only.
+    FrameReader reader;
+    double hello_deadline_s = 0.0;
+    // Under mu_. Every writer — the loop or a producer's send() — drains
+    // the queue in order, so per-connection FIFO (the ordering contract
+    // the !admit broadcast and the mailbox rely on) holds.
     std::deque<OutFrame> queue;
-    bool stop = false;      // close requested: drain, then exit
-    bool dead = false;      // writer hit a socket error; queue dropped
-    bool inflight = false;  // writer is mid-write outside the lock
-    std::thread writer;
-    std::thread reader;
-    ConnRxStats rx;  // last frame this connection delivered; under mu_
+    std::uint32_t events = 0;  // the registered epoll interest
+    int stalled_on = -1;   // relay destination whose full queue pauses us
+    bool dead = false;     // failed or retired: queue dropped, sends refused
+    bool close_when_flushed = false;  // a !stats reply: close once written
+    ConnRxStats rx;        // last frame this connection delivered
   };
-  struct Stored {
-    std::uint64_t seq = 0;
-    Message msg;
-  };
+  using ConnPtr = std::shared_ptr<Conn>;
 
   TcpNetwork(int local, std::size_t n_workers, Options opts);
 
   void check_node(int node) const;
   void check_local(int node, const char* what) const;
   double elapsed_s() const;
-  // Frames one message and hands it to `conn`'s writer thread; returns
-  // false (and marks `peer` dead, if `conn` is still its current
-  // connection) when the connection is already gone. A full queue
-  // blocks until the writer frees a slot (backpressure) or the
-  // connection dies. True means accepted in FIFO order, not yet on the
-  // wire — the writer drains asynchronously.
-  // `ctx` is the causal trace context stamped into the frame head: the
-  // sender's flow id on first hop, or the ORIGINAL sender's context
-  // preserved verbatim on the W->W relay.
-  bool write_frame(Conn& conn, int peer, int src, int dst,
-                   const std::string& tag, SharedBuf&& payload,
-                   const TraceCtx& ctx = {});
-  // Copying convenience for small control payloads the caller reuses.
-  bool write_frame(Conn& conn, int peer, int src, int dst,
-                   const std::string& tag, const ByteBuffer& payload,
-                   const TraceCtx& ctx = {});
-  // The per-connection drain loop: pops frames in enqueue order and
-  // writes them (head + payload segments as sendmsg iovecs). On a write
-  // failure it drops whatever is queued (counted into the flight
-  // recorder), marks the peer dead, and exits.
-  void writer_loop(int peer, Conn* conn);
-  void spawn_writer(int peer, Conn* conn);
-  // Teardown half of the writer protocol: bounded linger for the queue
-  // to flush, then stop + sever + join (writer first, then reader).
-  void retire_conn_threads(Conn& conn, bool flush);
-  void reader_loop(int peer, Conn* conn);
-  void accept_loop(int listen_fd);
-  // Answers a `!stats` probe on a freshly accepted connection: one
-  // frame carrying a JSON snapshot of epoch, live round/phase, the
-  // per-worker liveness table and (when a sink is attached) the full
-  // metrics registry. The caller closes the fd.
-  void serve_stats(int fd);
-  // Server side: drains queued death notices and epoch bumps into
-  // !death / !epoch broadcasts. Runs on the acceptor thread so no
-  // mark_dead caller ever writes control frames while holding a
-  // connection's write_mu (which could deadlock across two conns).
-  void pump_control();
-  // Accepted a hello for an id whose previous connection died: tear the
-  // old conn down, install the new one under a bumped epoch, and send
-  // the !rejoin grant. Acceptor thread only.
-  void grant_rejoin(int id, int fd);
+  static std::chrono::steady_clock::time_point deadline_in(double seconds);
+
+  // --- the event loop and the data plane (tcp_network.cpp) -------------
+  void run_loop();
+  // Registers `fd` (made nonblocking) as a new connection of the loop.
+  ConnPtr add_conn(int fd, int peer);
+  // Loop thread: reads and dispatches whatever `c` has for us; a
+  // hung-up connection is read to its end, then closed.
+  void on_readable(Conn& c, bool hangup);
+  // One complete frame off `c`; false stops reading `c` for now.
+  bool dispatch(Conn& c, Frame& f);
+  // The first frame of a fresh server-side connection: hello, rejoin
+  // or !stats probe.
+  void on_hello(Conn& c, Frame& f);
+  std::optional<Message> receive(const std::string& tag, bool block);
+  // The *_locked functions run under mu_, on the loop or a caller.
+  static OutFrame make_frame(int src, int dst, const std::string& tag,
+                             SharedBuf body, const TraceCtx& ctx = {});
+  // Queues `f` on `c` and writes what the socket takes now. Never
+  // blocks; false when `c` is already dead.
+  bool push_locked(Conn& c, OutFrame&& f);
+  // Nonblocking gathered write of the queue head; false on a socket
+  // error.
+  bool flush_locked(Conn& c);
+  // `c`'s queue dropped below its bound (or died): wake blocked
+  // producers and resume the relay sources paused behind it.
+  void release_locked(const Conn& c);
+  void set_interest_locked(Conn& c);
+  // Marks a connection dead: drops its queue (a writer_drop flight
+  // event when frames are lost), severs the socket, releases waiters.
+  // The loop then reaps it.
+  void fail_conn_locked(Conn& c);
+  // Loop thread: fail-stops the connection's peer and closes its fd.
+  void close_conn_locked(Conn& c);
+  void enqueue_local_locked(int src, const std::string& tag,
+                            ByteBuffer&& payload, std::uint64_t flow);
+  void charge_locked(int src, int dst, const std::string& tag,
+                     std::size_t bytes);
+  void on_sink_attached() override;
+
+  // --- the membership control plane (tcp_control.cpp) ------------------
+  // Loop thread, on its timer: stale hellos; on the server also the
+  // control pump (!death / !epoch fan-out), heartbeats and the liveness
+  // timer.
+  void tick();
+  // The `!stats` JSON snapshot: epoch, live round/phase, the per-worker
+  // liveness table and (when a sink is attached) the metrics registry.
+  std::string stats_json();
   // Dispatch one control frame from connection `peer` (worker side:
   // server->worker notices; server side: !pong echoes).
-  void handle_control(int peer, const Frame& f);
-  // Server side, acceptor thread: heartbeat emission + liveness-timer
-  // advance (suspect / dead transitions). No-op unless
-  // opts_.heartbeat_interval_s > 0.
-  void pump_heartbeats();
-  // !epoch payload for the current state; call with mu_ held.
+  void handle_control_locked(int peer, Frame& f);
+  // Control frame to every live registered worker (never waits).
+  void broadcast_locked(const std::string& tag, ByteBuffer&& payload);
+  // Fail-stop `peer`. With `expect` set, only if that is still peer's
+  // current connection — a retired incarnation failing must not kill the
+  // fresh one. The server queues the !death fan-out for the next tick.
+  void mark_dead_locked(int peer, const Conn* expect = nullptr);
+  // Accepted a hello for an id whose previous connection died: retire
+  // the old conn, install the new one under a bumped epoch, send the
+  // !rejoin grant.
+  void grant_rejoin_locked(int id, const ConnPtr& c);
+  // !epoch payload for the current state.
   ByteBuffer encode_epoch_locked() const;
-  void enqueue_local(int src, const std::string& tag, ByteBuffer&& payload,
-                     std::uint64_t flow = 0);
-  void charge(int src, int dst, const std::string& tag, std::size_t bytes);
-  // Marks `peer` dead (fail-stop). When `expect` is non-null the mark
-  // only applies if `expect` is still peer's current connection — a
-  // write failure on a connection that was already retired by a rejoin
-  // must not kill the fresh incarnation.
-  void mark_dead(int peer, const Conn* expect = nullptr);
-  void close_all();
-  void on_sink_attached() override;
 
   const int local_;  // kServerId for the server endpoint, else worker id
   const std::size_t n_workers_;
@@ -332,11 +347,10 @@ class TcpNetwork final : public Transport {
   std::chrono::steady_clock::time_point rendezvous_deadline_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;  // mailbox / liveness / rendezvous events
-  std::vector<bool> alive_;     // index 0 = server
-  std::vector<bool> registered_;  // per worker id; server endpoint only
-  std::vector<Stored> mailbox_;   // the local node's mailbox
-  std::vector<std::uint64_t> recv_seq_;  // per sender, assigned at enqueue
+  std::condition_variable cv_;     // mailbox / liveness / rendezvous events
+  std::condition_variable space_cv_;  // a send queue freed a slot or died
+  std::vector<bool> alive_;        // index 0 = server
+  Mailbox mailbox_;                // the local node's mailbox
   std::vector<std::uint32_t> flow_seq_;  // per destination, trace flow ids
   LinkTotals totals_[3];
   std::uint64_t ingress_window_ = 0;  // the local node's open window
@@ -345,14 +359,14 @@ class TcpNetwork final : public Transport {
 
   // Control-plane state, all under mu_.
   std::uint64_t epoch_ = 0;          // bumped on every membership change
-  bool epoch_dirty_ = false;         // server: pump should broadcast !epoch
+  bool epoch_dirty_ = false;         // server: the pump should send !epoch
   std::vector<int> pending_deaths_;  // server: queued !death notices
   bool hello_acked_ = false;         // worker: first !epoch received
   bool rejoin_granted_ = false;      // worker: !rejoin received
   std::vector<int> pending_grants_;  // server: grants not yet harvested
   std::vector<Admission> admissions_;  // worker: !admit notices
   std::optional<ByteBuffer> rejoin_state_;  // worker: !state payload
-  LivenessTracker liveness_;         // server; advanced on the acceptor
+  LivenessTracker liveness_;         // server; advanced by the loop timer
   double last_ping_s_ = 0.0;         // server: last heartbeat broadcast
   std::uint64_t ping_seq_ = 0;
   std::uint64_t suspect_count_ = 0;  // suspect episodes (mirrors metric)
@@ -360,24 +374,26 @@ class TcpNetwork final : public Transport {
   std::uint64_t dial_retries_flushed_ = 0;  // already pushed to the sink
 
   // conns_[w] is the server's connection to worker w; a worker endpoint
-  // uses conns_[0] for its single connection to the server. Slots are
-  // written by the acceptor thread (under mu_); a conn replaced by a
-  // rejoin is parked in retired_ instead of destroyed, so a straggling
-  // sender still holding the old Conn* fails its write harmlessly
-  // (fd -1, identity-checked mark_dead) instead of using freed memory.
-  std::vector<std::unique_ptr<Conn>> conns_;
-  std::vector<std::unique_ptr<Conn>> retired_;
-  std::thread acceptor_;
-  std::mutex close_mu_;  // serializes close() vs destructor
-  bool closed_ = false;  // under close_mu_
+  // uses conns_[0] for its single connection to the server. Under mu_.
+  // A producer keeps its own reference while it waits for queue space,
+  // so a conn replaced by a rejoin stays valid (and dead) until it lets
+  // go.
+  std::vector<ConnPtr> conns_;
+  // Loop thread only: every open connection, introduced or not.
+  std::vector<ConnPtr> open_;
+  int listen_fd_ = -1;
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;
+  std::once_flag close_once_;  // close() runs once; later calls wait it out
+  std::thread loop_;
 };
 
 // One-shot live introspection: dial a serving TcpNetwork endpoint,
 // send a `!stats` probe in place of the hello and return the JSON
-// snapshot it answers with (see serve_stats for the shape). Returns
+// snapshot it answers with (see stats_json for the shape). Returns
 // nullopt when the dial, the probe or the reply fails within
 // `timeout_s`. Any client may call this at any time — the server's
-// acceptor answers between rendezvous/rejoin duties without touching
+// event loop answers it as one more connection, without touching
 // membership.
 std::optional<std::string> fetch_stats(const std::string& host,
                                        std::uint16_t port,

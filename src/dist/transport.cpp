@@ -1,10 +1,49 @@
 #include "dist/transport.hpp"
 
+#include <cstdio>
 #include <stdexcept>
 
 namespace mdgan::dist {
 
+namespace {
+
+void trace_net(obs::Tracer* tracer, const char* dir, int node,
+               const std::string& tag, std::int64_t wall_t0_ns,
+               double sim_t0, double sim_t1, std::size_t bytes,
+               std::uint64_t flow) {
+  if (tracer == nullptr) return;
+  obs::TraceEvent ev;
+  std::snprintf(ev.name, obs::TraceEvent::kNameCap, "%s:%s", dir,
+                tag.c_str());
+  ev.cat = obs::Cat::kNet;
+  ev.node = node;
+  ev.wall_t0_ns = wall_t0_ns;
+  ev.wall_dur_ns = tracer->now_ns() - wall_t0_ns;
+  ev.sim_t0 = sim_t0;
+  ev.sim_t1 = sim_t1;
+  ev.bytes = bytes;
+  ev.flow = flow;
+  tracer->emit(ev);
+}
+
+}  // namespace
+
 Transport::~Transport() = default;
+
+void Transport::trace_send(obs::Tracer* tracer, int node,
+                           const std::string& tag, std::int64_t wall_t0_ns,
+                           double sim_t0, double sim_t1, std::size_t bytes,
+                           std::uint64_t flow) {
+  trace_net(tracer, "send", node, tag, wall_t0_ns, sim_t0, sim_t1, bytes,
+            flow);
+}
+
+void Transport::trace_recv(obs::Tracer* tracer, int node,
+                           std::int64_t wall_t0_ns, const Message& msg,
+                           double sim_t1) {
+  trace_net(tracer, "recv", node, msg.tag, wall_t0_ns, msg.arrival_s, sim_t1,
+            msg.payload.size(), msg.flow);
+}
 
 LinkKind link_kind(int from, int to) {
   if (from == kServerId && to == kServerId) {

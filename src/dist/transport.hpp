@@ -319,6 +319,17 @@ class Transport {
     obs::Tracer& t = sink_->tracer();
     return t.enabled() ? &t : nullptr;
   }
+  // Per-frame net spans, `send:<tag>` and `recv:<tag>`, from `wall_t0_ns`
+  // to now on `tracer` (obs_tracer(), fetched before the operation
+  // started). The recv span runs from the message's arrival to `sim_t1`
+  // on the receiver's clock and carries the sender's flow id. Call with
+  // no backend lock held.
+  static void trace_send(obs::Tracer* tracer, int node, const std::string& tag,
+                         std::int64_t wall_t0_ns, double sim_t0, double sim_t1,
+                         std::size_t bytes, std::uint64_t flow);
+  static void trace_recv(obs::Tracer* tracer, int node,
+                         std::int64_t wall_t0_ns, const Message& msg,
+                         double sim_t1);
 
   // Control-plane instruments (membership_epoch gauge,
   // peer_deaths_total / rejoins_total counters). Relaxed atomics like
@@ -373,9 +384,9 @@ class Transport {
   void obs_heartbeat_rtt(double seconds) {
     if (heartbeat_rtt_s_ != nullptr) heartbeat_rtt_s_->observe(seconds);
   }
-  // Async-writer instruments: queue occupancy after an enqueue, seconds
+  // Send-queue instruments: queue occupancy after an enqueue, seconds
   // a producer spent blocked on a full queue, payload bytes the
-  // refcounted broadcast did NOT copy, and frames dropped when a writer
+  // refcounted broadcast did NOT copy, and frames dropped when a send
   // queue is torn down for a dead peer (also a flight-recorder event so
   // the post-mortem shows what never reached the wire).
   void obs_queue_depth(std::size_t depth) {

@@ -5,17 +5,23 @@
 // tag lengths overrunning the body, oversize body lengths, truncated
 // payloads, and plain seeded garbage. The contract under attack is
 // always the same — return false, never crash, never hang, never let a
-// 4-byte length field drive a giant allocation. The last test points
-// the same adversary at a live acceptor: a garbage hello must not
-// stall the rendezvous for a legitimate worker.
+// 4-byte length field drive a giant allocation. The later tests point
+// the same adversary at a live endpoint's event loop: a garbage or
+// stalled hello must not stall the rendezvous for a legitimate worker,
+// frames split at any byte must reassemble, and a corrupt header must
+// kill only its own connection.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <netinet/tcp.h>
+
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,6 +57,39 @@ ByteBuffer payload_of(const std::vector<float>& v) {
   ByteBuffer buf;
   buf.write_floats(v.data(), v.size());
   return buf;
+}
+
+// A raw loopback connection to `port`, for speaking the wire by hand.
+int dial_raw(std::uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  int one = 1;  // each write goes out as it is, never coalesced
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  return fd;
+}
+
+std::vector<std::uint8_t> hello_wire(int worker_id, std::size_t n_workers) {
+  ByteBuffer hello;
+  hello.write_pod<std::uint32_t>(static_cast<std::uint32_t>(worker_id));
+  hello.write_pod<std::uint64_t>(n_workers);
+  return encode_frame(worker_id, kServerId, kTagHello, hello);
+}
+
+bool eventually(const std::function<bool()>& pred, double timeout_s = 10.0) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(timeout_s);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return pred();
 }
 
 void put_le32(std::uint8_t* p, std::uint32_t v) {
@@ -186,7 +225,7 @@ TEST(FrameFuzz, SeededGarbageNeverCrashesTheReader) {
   }
 }
 
-// The adversary against the live acceptor: a connection that sends
+// The adversary against the live event loop: a connection that sends
 // garbage instead of a hello must neither crash the server nor wedge
 // its rendezvous — a legitimate worker joining afterwards still forms
 // the cluster.
@@ -213,6 +252,96 @@ TEST(FrameFuzz, GarbageHelloDoesNotStallTheAcceptor) {
   EXPECT_TRUE(server->wait_ready());
   EXPECT_TRUE(w1->wait_ready());
   EXPECT_TRUE(server->is_alive(1));
+}
+
+// A dialer that sends 4 bytes of a hello and then stalls is just one
+// more connection state of the server's event loop: a real worker that
+// dials after it completes the rendezvous at once, and the stalled
+// connection holds up neither the control pump nor the heartbeats.
+TEST(FrameFuzz, StalledHelloDoesNotBlockTheRendezvous) {
+  TcpOptions opts;
+  opts.rendezvous_timeout_s = 20.0;
+  opts.receive_timeout_s = 20.0;
+  auto server = TcpNetwork::serve(0, 1, opts);
+  const int fd = dial_raw(server->port());
+  const auto wire = hello_wire(1, 1);
+  ASSERT_EQ(::write(fd, wire.data(), 4), 4);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  auto w1 = TcpNetwork::connect("127.0.0.1", server->port(), 1, 1, opts);
+  EXPECT_TRUE(server->wait_ready());
+  EXPECT_TRUE(w1->wait_ready());
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_LT(waited, 1.0);
+  EXPECT_TRUE(server->is_alive(1));
+  ::close(fd);
+}
+
+// The incremental parser of the event loop against a live server: one
+// frame trickled in a byte at a time, two frames in one write, then a
+// valid frame followed by a corrupt header. Every valid frame arrives
+// intact and in order; the corrupt header fail-stops only its own
+// connection (with the !death fan-out to the survivor), and the loop
+// keeps serving the other worker in both directions.
+TEST(FrameFuzz, FramesSurviveArbitrarySplitPoints) {
+  TcpOptions opts;
+  opts.rendezvous_timeout_s = 20.0;
+  opts.receive_timeout_s = 20.0;
+  auto server = TcpNetwork::serve(0, 2, opts);
+  const int fd = dial_raw(server->port());
+  const auto hello = hello_wire(1, 2);
+  ASSERT_EQ(::write(fd, hello.data(), hello.size()),
+            static_cast<ssize_t>(hello.size()));
+  auto w2 = TcpNetwork::connect("127.0.0.1", server->port(), 2, 2, opts);
+  ASSERT_TRUE(server->wait_ready());
+  ASSERT_TRUE(w2->wait_ready());
+
+  auto fb = [](float v) {
+    return encode_frame(1, kServerId, "fb", payload_of(std::vector<float>{v}));
+  };
+  const auto one = fb(1.f);
+  for (std::uint8_t b : one) {
+    ASSERT_EQ(::write(fd, &b, 1), 1);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  auto two = fb(2.f);
+  const auto three = fb(3.f);
+  two.insert(two.end(), three.begin(), three.end());
+  ASSERT_EQ(::write(fd, two.data(), two.size()),
+            static_cast<ssize_t>(two.size()));
+  auto four = fb(4.f);
+  std::uint8_t corrupt[kFrameHeaderBytes];
+  put_le32(corrupt, 0xdeadbeefu);
+  put_le32(corrupt + 4, 16);
+  four.insert(four.end(), corrupt, corrupt + sizeof(corrupt));
+  ASSERT_EQ(::write(fd, four.data(), four.size()),
+            static_cast<ssize_t>(four.size()));
+
+  // The corrupt header is fail-stop for worker 1 alone...
+  ASSERT_TRUE(eventually([&] { return !server->is_alive(1); }));
+  EXPECT_TRUE(server->is_alive(2));
+  // ...and everything it sent before that was delivered, in order.
+  for (float want : {1.f, 2.f, 3.f, 4.f}) {
+    auto m = server->receive_tagged(kServerId, "fb");
+    ASSERT_TRUE(m.has_value()) << "frame " << want;
+    EXPECT_EQ(m->from, 1);
+    EXPECT_EQ(m->payload.read_floats(), std::vector<float>{want});
+  }
+  // The survivor hears of the death over the control plane, and the
+  // loop still carries its traffic both ways.
+  ASSERT_TRUE(eventually(
+      [&] { return !w2->is_alive(1) && w2->membership_epoch() >= 1; }));
+  server->send(kServerId, 2, "t", payload_of(std::vector<float>{5.f}));
+  auto down = w2->receive_tagged(2, "t");
+  ASSERT_TRUE(down.has_value());
+  EXPECT_EQ(down->payload.read_floats(), std::vector<float>{5.f});
+  w2->send(2, kServerId, "fb", payload_of(std::vector<float>{6.f}));
+  auto up = server->receive_tagged(kServerId, "fb");
+  ASSERT_TRUE(up.has_value());
+  EXPECT_EQ(up->from, 2);
+  ::close(fd);
 }
 
 // --- the control-frame vocabulary under the same adversary --------------
@@ -248,7 +377,7 @@ TEST(FrameFuzz, ControlTagAtTheLengthCapBoundary) {
 TEST(FrameFuzz, GarbagePongInsteadOfHelloIsRejectedByTheAcceptor) {
   // A connection whose first frame is a well-formed !pong from an
   // unknown id — not a hello — must be turned away without crashing
-  // the acceptor or wedging the rendezvous.
+  // the event loop or wedging the rendezvous.
   TcpOptions opts;
   opts.rendezvous_timeout_s = 20.0;
   opts.receive_timeout_s = 20.0;
@@ -384,8 +513,8 @@ TEST(FrameFuzz, TruncatedStateAndAdmitFramesDoNotKillTheWorker) {
     epoch.write_pod<std::uint32_t>(1);
     epoch.write_pod<std::uint8_t>(1);
     send_frame(kTagEpoch, epoch);
-    // The worker's reply to the ping must arrive — proof the reader
-    // thread survived everything that preceded it.
+    // The worker's reply to the ping must arrive — proof the event
+    // loop survived everything that preceded it.
     Frame pong;
     EXPECT_TRUE(read_frame(fd, pong));
     EXPECT_EQ(pong.tag, kTagPong);

@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <thread>
@@ -480,6 +481,51 @@ TEST(TcpNetwork, DeathNoticeAndRejoinUnderBumpedEpoch) {
   EXPECT_EQ(s->from, 1);
   w2b->send(2, kServerId, "fb", payload_of(1, 4.f));
   EXPECT_TRUE(server->receive_tagged(kServerId, "fb").has_value());
+}
+
+// `Threads:` of this process, from /proc/self/status.
+int process_threads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+// One event loop per endpoint: serve() and connect() each start exactly
+// one thread whatever the cluster size — W hellos, W connections and the
+// control pump included — and close() ends it.
+TEST(TcpNetwork, EachEndpointRunsOneThreadForAnyW) {
+  for (std::size_t n_workers : {std::size_t{2}, std::size_t{8}}) {
+    const int base = process_threads();
+    ASSERT_GT(base, 0);
+    auto server = TcpNetwork::serve(0, n_workers, fast_opts());
+    EXPECT_EQ(process_threads(), base + 1) << "W=" << n_workers;
+    std::vector<std::unique_ptr<TcpNetwork>> workers;
+    for (std::size_t w = 1; w <= n_workers; ++w) {
+      const int before = process_threads();
+      workers.push_back(TcpNetwork::connect("127.0.0.1", server->port(),
+                                            static_cast<int>(w), n_workers,
+                                            fast_opts()));
+      ASSERT_TRUE(workers.back()->wait_ready());
+      EXPECT_EQ(process_threads(), before + 1) << "worker " << w;
+    }
+    ASSERT_TRUE(server->wait_ready());
+    EXPECT_EQ(process_threads(),
+              base + 1 + static_cast<int>(n_workers))
+        << "W=" << n_workers;
+    // A joined thread can linger in the count for a moment after its
+    // join returns; poll until the kernel has reaped it.
+    for (auto& w : workers) {
+      const int before = process_threads();
+      w->close();
+      EXPECT_TRUE(eventually([&] { return process_threads() == before - 1; }));
+    }
+    server->close();
+    EXPECT_TRUE(eventually([&] { return process_threads() == base; }))
+        << "W=" << n_workers;
+  }
 }
 
 // close() during the rendezvous must abort wait_ready with false —

@@ -1,6 +1,6 @@
-// The per-connection async writer: every TcpNetwork send is enqueued
-// on a bounded queue and drained by the connection's writer thread.
-// Pinned here: a full queue blocks the producer (backpressure, visible
+// The per-connection send queue: what a TcpNetwork send cannot write
+// straight to the socket waits on a bounded queue that the endpoint's
+// event loop drains. Pinned here: a full queue blocks the producer (backpressure, visible
 // in the send_queue_stall_seconds histogram) until the peer drains it,
 // and a peer dying mid-backpressure drops the queue wholesale — the
 // producer unblocks, nothing waits on undeliverable frames, and the
@@ -45,8 +45,8 @@ bool eventually(const std::function<bool()>& pred, double timeout_s = 15.0) {
 
 // A raw socket that completes a valid hello and then reads (or
 // doesn't) at the test's pleasure — the only way to control the
-// consumer side of the writer queue, since a real endpoint's reader
-// thread always drains promptly.
+// consumer side of the send queue, since a real endpoint's event loop
+// always drains promptly.
 int raw_hello(std::uint16_t port, int worker_id, std::size_t n_workers) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
@@ -67,7 +67,7 @@ int raw_hello(std::uint16_t port, int worker_id, std::size_t n_workers) {
 }
 
 // ~1 MiB frames: a handful of them overflow any loopback socket
-// buffer, so the writer wedges in sendmsg and the tiny queue fills.
+// buffer, so the socket stops taking bytes and the tiny queue fills.
 constexpr std::size_t kBigFloats = 262144;
 constexpr int kTotalSends = 24;
 
@@ -156,7 +156,7 @@ TEST(WriterQueue, DeadPeerDropsTheQueueAndUnblocksTheProducer) {
   ASSERT_LT(done.load(), kTotalSends);  // wedged behind the full queue
 
   // kill -9 semantics: the peer's socket dies mid-backpressure. The
-  // writer's in-flight sendmsg fails, the queue is dropped, the
+  // loop's next sendmsg fails, the queue is dropped, the
   // blocked producer wakes, and every remaining send becomes the
   // usual uncharged fail-stop no-op.
   const std::uint64_t charged_at_kill = charged_before_death();
@@ -168,7 +168,7 @@ TEST(WriterQueue, DeadPeerDropsTheQueueAndUnblocksTheProducer) {
   // Post-death sends charged nothing new.
   EXPECT_LE(charged_before_death(), charged_at_kill);
 
-  // Join the writer thread before reading the ring: the recorder is a
+  // Join the event loop before reading the ring: the recorder is a
   // lock-free ring and snapshot() is only ordered against writers that
   // have been joined (post-mortem semantics, same as the JSONL dump).
   server->close();
