@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   for (std::size_t L : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     Rng split_rng(seed);
     auto shards = data::split_iid(train, workers, split_rng);
-    dist::Network net(workers);
+    dist::SimNetwork net(workers);
     core::MdGanConfig cfg;
     cfg.hp.batch = 10;
     cfg.hp.disc_steps = L;
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   for (std::size_t E : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     Rng split_rng(seed);
     auto shards = data::split_iid(train, workers, split_rng);
-    dist::Network net(workers);
+    dist::SimNetwork net(workers);
     core::MdGanConfig cfg;
     cfg.hp.batch = 10;
     cfg.epochs_per_swap = E;

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
                  std::int64_t run_iters) {
     Rng split_rng(seed);
     auto shards = data::split_iid(train, workers, split_rng);
-    dist::Network net(workers);
+    dist::SimNetwork net(workers);
     core::MdGan md(arch, cfg, std::move(shards), seed, net);
     md.train(run_iters);
     auto s = evaluator.evaluate(md.generator(), arch, md.codes());

@@ -143,7 +143,7 @@ struct RunContext {
   std::int64_t iters;
   std::int64_t eval_every;
   std::uint64_t seed;
-  // Link model applied to the run's Network (zero model by default, so
+  // Link model applied to the run's SimNetwork (zero model by default, so
   // benches that don't care about time are unchanged).
   dist::LinkModel link{};
 };
@@ -172,7 +172,7 @@ inline Series run_fl_gan(const RunContext& ctx, gan::GanHyperParams hp,
   Series out{label, {}, {}, {}, 0.0};
   Rng split_rng(ctx.seed);
   auto shards = data::split_iid(ctx.train, workers, split_rng);
-  dist::Network net(workers);
+  dist::SimNetwork net(workers);
   net.set_link_model(ctx.link);
   gan::FlGanConfig cfg;
   cfg.hp = hp;
@@ -216,7 +216,7 @@ inline Series run_md_gan(const RunContext& ctx, gan::GanHyperParams hp,
   // registry, exercising the same counters ci.sh validates. Declared
   // before the network so it outlives the transport that charges it.
   obs::Sink sink;
-  dist::Network net(workers);
+  dist::SimNetwork net(workers);
   net.set_link_model(ctx.link);
   core::MdGanConfig cfg;
   cfg.hp = hp;

@@ -29,7 +29,7 @@ std::uint64_t measured_worker_ingress(std::size_t b) {
       n * std::max<std::size_t>(b, 16), 99);
   Rng split_rng(3);
   auto shards = data::split_iid(train, n, split_rng);
-  dist::Network net(n);
+  dist::SimNetwork net(n);
   core::MdGanConfig cfg;
   cfg.hp.batch = b;
   cfg.k = 1;

@@ -73,7 +73,7 @@ TimedRun timed_run(const data::InMemoryDataset& train,
                    const TimedRunConfig& rc) {
   Rng split_rng(rc.seed);
   auto shards = data::split_iid(train, rc.workers, split_rng);
-  dist::Network net(rc.workers);
+  dist::SimNetwork net(rc.workers);
   net.set_link_model(rc.link);
   core::MdGanConfig cfg;
   cfg.hp.batch = rc.batch;

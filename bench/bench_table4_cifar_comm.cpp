@@ -36,7 +36,7 @@ MeasuredRow measure_md_gan(std::size_t n, std::size_t b,
                                           1234);
   Rng split_rng(5);
   auto shards = data::split_iid(train, n, split_rng);
-  dist::Network net(n);
+  dist::SimNetwork net(n);
   core::MdGanConfig cfg;
   cfg.hp.batch = b;
   cfg.k = 1;
@@ -63,7 +63,7 @@ MeasuredRow measure_fl_gan(std::size_t n, std::size_t b) {
                                           1234);
   Rng split_rng(5);
   auto shards = data::split_iid(train, n, split_rng);
-  dist::Network net(n);
+  dist::SimNetwork net(n);
   gan::FlGanConfig cfg;
   cfg.hp.batch = b;
   cfg.epochs_per_round = 1;

@@ -10,17 +10,18 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # `ci.sh --tsan`: ThreadSanitizer pass over the concurrency-heavy
-# dist/core tests (each endpoint's event loop against the engine
+# common/dist/core tests (the compute pool's callers and threads sharing
+# each job's chunks, each endpoint's event loop against the engine
 # threads that send into its connection queues and block on their
-# backpressure, mark_dead vs close, the pipeline prefetch thread) in
-# its own build tree, then a heartbeat-enabled loopback run — the
-# ping/pong timer, the liveness tracker and the event loops all under
-# the race detector at once — and exit.
+# backpressure, mark_dead vs close) in its own build tree, then a
+# heartbeat-enabled loopback run — the ping/pong timer, the liveness
+# tracker and the event loops all under the race detector at once — and
+# exit.
 if [ "${1:-}" = "--tsan" ]; then
   cmake -B build-tsan -S . -DMDGAN_TSAN=ON \
     -DMDGAN_BUILD_BENCHES=OFF -DMDGAN_BUILD_EXAMPLES=ON
   cmake --build build-tsan -j"$(nproc)"
-  cd build-tsan && ctest --output-on-failure -R '^(dist|core)_'
+  cd build-tsan && ctest --output-on-failure -R '^(common|dist|core)_'
   echo "--- tsan smoke: heartbeat-enabled loopback run"
   HB_FLAGS="--workers=2 --iters=3 --heartbeat-ms=50 --suspect-ms=300 \
     --grace-ms=2000 --recv-timeout=60"
@@ -49,15 +50,15 @@ if [ "${1:-}" = "--tsan" ]; then
   exit 0
 fi
 
-# `ci.sh --asan`: AddressSanitizer pass over the dist/core/obs tests in
-# its own build tree, then a traced sim run fed through the trace-merge
-# tool — the JSON parser and merger chew on real generated input under
-# the allocator checks — and exit.
+# `ci.sh --asan`: AddressSanitizer pass over the common/dist/core/obs
+# tests in its own build tree, then a traced sim run fed through the
+# trace-merge tool — the JSON parser and merger chew on real generated
+# input under the allocator checks — and exit.
 if [ "${1:-}" = "--asan" ]; then
   cmake -B build-asan -S . -DMDGAN_ASAN=ON \
     -DMDGAN_BUILD_BENCHES=OFF -DMDGAN_BUILD_EXAMPLES=ON
   cmake --build build-asan -j"$(nproc)"
-  cd build-asan && ctest --output-on-failure -R '^(dist|core|obs)_'
+  cd build-asan && ctest --output-on-failure -R '^(common|dist|core|obs)_'
   echo "--- asan smoke: traced sim run through the trace merger"
   ./mdgan_node --role=sim --workers=2 --iters=2 \
     --trace-out=asan_trace.json --metrics-out=asan_metrics.jsonl \
@@ -118,39 +119,6 @@ TCP_SUM=$(grep -oE 'generator_fnv1a=[0-9a-f]+' mdgan_node_server.log)
   exit 1
 }
 echo "loopback TCP run matches the simulator: ${TCP_SUM#*=}"
-
-echo "--- smoke: mdgan_node PIPELINED loopback TCP (sync => strict no-op)"
-# Same run with --pipeline on every role. Sync mode keeps the barrier,
-# so pipelining must not move a single bit: the checksum must equal the
-# PLAIN simulator run above — while the frames ride the async writer
-# queues and the zero-copy broadcast path end to end.
-PIPE_FLAGS="--workers=2 --iters=2 --pipeline"
-./mdgan_node --role=server --port=0 $PIPE_FLAGS \
-  > mdgan_pipe_server.log 2>&1 &
-SERVER_PID=$!
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(grep -oE 'listening on 0.0.0.0:[0-9]+' mdgan_pipe_server.log \
-         | grep -oE '[0-9]+$' || true)
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-[ -n "$PORT" ] || { echo "pipelined mdgan_node server never listened"; exit 1; }
-./mdgan_node --role=worker --id=1 --connect=127.0.0.1:"$PORT" $PIPE_FLAGS &
-W1_PID=$!
-./mdgan_node --role=worker --id=2 --connect=127.0.0.1:"$PORT" $PIPE_FLAGS &
-W2_PID=$!
-for pid in "$W1_PID" "$W2_PID" "$SERVER_PID"; do
-  wait "$pid" || { echo "pipelined mdgan_node process $pid failed"; exit 1; }
-done
-cat mdgan_pipe_server.log
-PIPE_SUM=$(grep -oE 'generator_fnv1a=[0-9a-f]+' mdgan_pipe_server.log)
-[ "${SIM_SUM#*=}" = "${PIPE_SUM#*=}" ] || {
-  echo "FAIL: pipelined TCP run diverged from the simulator" \
-       "($SIM_SUM vs $PIPE_SUM)"
-  exit 1
-}
-echo "pipelined loopback TCP run matches the simulator: ${PIPE_SUM#*=}"
 
 echo "--- verify: telemetry artifacts (Chrome trace JSON + metrics JSONL)"
 python3 - <<'PY'
@@ -339,11 +307,8 @@ echo "--- drill: kill -9 a worker mid-run (unscheduled fail-stop + rejoin)"
 # control plane, and finish all iterations with finite weights; a probe
 # process then re-dials as worker 3 and must be granted a rejoin under
 # a bumped membership epoch rather than rejected as a duplicate.
-# --pipeline rides along: the drill then also proves the crash control
-# plane (fail-stop, rejoin, !state) survives the async writer queues
-# dropping a dead peer's frames.
 KILL_FLAGS="--workers=3 --iters=30 --k=2 --swap=0 --recv-timeout=15 \
-  --pipeline --log-level=info"
+  --log-level=info"
 ./mdgan_node --role=server --port=0 $KILL_FLAGS \
   --metrics-out=kill_metrics.jsonl --flight-out=kill_flight.jsonl \
   > kill_server.log 2>&1 &

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
   Rng split_rng(seed);
   auto shards = data::split_iid(train, workers, split_rng);
-  dist::Network net(workers);
+  dist::SimNetwork net(workers);
   core::MdGanConfig cfg;
   cfg.hp.batch = batch;
   cfg.k = core::k_log_n(workers);

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   {
     Rng split_rng(seed);
     auto shards = data::split_iid(train, workers, split_rng);
-    dist::Network net(workers);
+    dist::SimNetwork net(workers);
     gan::FlGanConfig cfg;
     cfg.hp = hp;
     gan::FlGan fl(arch, cfg, std::move(shards), seed, net);
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   for (std::size_t k : {std::size_t{1}, core::k_log_n(workers)}) {
     Rng split_rng(seed);
     auto shards = data::split_iid(train, workers, split_rng);
-    dist::Network net(workers);
+    dist::SimNetwork net(workers);
     core::MdGanConfig cfg;
     cfg.hp = hp;
     cfg.k = k;

@@ -23,10 +23,8 @@
 // --server-mode=sync|async (the §VII-1 server policy; async applies one
 // Adam step per feedback as it arrives, with --max-staleness capping
 // how stale an applied feedback may be and --staleness-damping scaling
-// its learning rate by 1/(1 + damping * staleness)). --pipeline=1
-// overlaps generation of round i+1 with round i's feedback drain (async
-// server; sync runs stay bit-identical), and --send-queue-depth bounds
-// each TCP connection's send queue.
+// its learning rate by 1/(1 + damping * staleness)).
+// --send-queue-depth bounds each TCP connection's send queue.
 //
 // Observability: --trace-out=PATH writes a Chrome trace-event JSON
 // (load in Perfetto / chrome://tracing: one track per node, spans for
@@ -179,12 +177,6 @@ NodeConfig parse_training_flags(const CliFlags& flags) {
   }
   nc.cfg.async_staleness_damping =
       static_cast<float>(flags.get_double("staleness-damping", 0.0));
-  // Pipelined rounds: with --server-mode=async the server snapshots θ
-  // and generates round i+1 while round i's feedbacks drain; in sync
-  // mode the overlap is transport-level only (queued sends drain on the
-  // transport's event loop) and the run stays bit-identical to
-  // --pipeline=0.
-  nc.cfg.pipeline = flags.get_bool("pipeline", false);
   const std::string codec = flags.get("compress", "none");
   if (codec == "int8") {
     nc.cfg.feedback_compression.kind = dist::CompressionKind::kQuantizeInt8;

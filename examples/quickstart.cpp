@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   core::MdGanConfig cfg;
   cfg.hp.batch = batch;
   cfg.k = k;
-  dist::Network net(workers);
+  dist::SimNetwork net(workers);
   core::MdGan md(arch, cfg, std::move(shards), seed, net);
 
   std::printf("\n%8s %10s %10s\n", "iter", "IS", "FID");

@@ -1,5 +1,5 @@
 // Straggler simulation: the smallest tour of the simulated-time API.
-// Attach a dist::LinkModel to the Network, train MD-GAN twice — once on
+// Attach a dist::LinkModel to the SimNetwork, train MD-GAN twice — once on
 // a homogeneous cluster, once with one worker's bandwidth cut — and
 // watch the per-round critical path (seconds on the deterministic
 // virtual clock) degrade while the training math stays bit-identical.
@@ -28,11 +28,11 @@ int main(int argc, char** argv) {
   auto arch = gan::make_arch(gan::ArchKind::kMlpMnist);
   auto train = data::make_synthetic_digits(workers * 10 * batch, seed);
 
-  // One run = one Network with a link model + one MdGan.
+  // One run = one SimNetwork with a link model + one MdGan.
   auto run = [&](double cut, const char* label) {
     Rng split_rng(seed);
     auto shards = data::split_iid(train, workers, split_rng);
-    dist::Network net(workers);
+    dist::SimNetwork net(workers);
     dist::LinkParams link;
     link.latency_s = dist::ms_to_s(latency_ms);
     link.bytes_per_s = dist::mbps_to_bytes_per_s(mbps);

@@ -21,63 +21,73 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  cv_.notify_all();
+  wake_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(std::move(task));
-  auto fut = packaged.get_future();
-  {
+void ThreadPool::run_chunk(Job& job, std::size_t c) {
+  const std::size_t chunk = (job.n + job.n_chunks - 1) / job.n_chunks;
+  const std::size_t begin = c * chunk;
+  const std::size_t end = std::min(job.n, begin + chunk);
+  if (begin >= end) return;
+  try {
+    job.call(job.fn, begin, end);
+  } catch (...) {
     std::lock_guard<std::mutex> lock(mu_);
-    tasks_.push(std::move(packaged));
+    if (!job.error || c < job.error_chunk) {
+      job.error = std::current_exception();
+      job.error_chunk = c;
+    }
   }
-  cv_.notify_one();
-  return fut;
 }
 
 void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::packaged_task<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-      if (stop_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    task();
+    wake_.wait(lock, [this] { return stop_ || queue_ != nullptr; });
+    if (stop_) return;
+    Job& job = *queue_;
+    const std::size_t c = job.next.fetch_add(1);
+    if (c + 1 >= job.n_chunks) queue_ = job.queued_next;  // none left
+    if (c >= job.n_chunks) continue;
+    lock.unlock();
+    run_chunk(job, c);
+    lock.lock();
+    // The caller cannot return before it sees this under mu_, so the
+    // job outlives every access made here.
+    if (--job.unfinished == 0) job.done.notify_one();
   }
 }
 
-void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  parallel_for(n, 1, fn);
-}
-
-void ThreadPool::parallel_for(
-    std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  const std::size_t n_chunks = parallel_chunk_count(n, grain, size());
-  if (n_chunks == 0) return;
-  if (n_chunks == 1) {
-    fn(0, n);
-    return;
-  }
+void ThreadPool::run(Job& job) {
   // kCompute span (off unless a global sink opted into compute spans):
-  // the whole fan-out, submit through the last chunk's completion.
+  // the whole fan-out, publish through the last chunk's completion.
   obs::Span span(obs::global_tracer(), "pool_dispatch", obs::Cat::kCompute,
                  /*node=*/-1);
-  const std::size_t chunk = (n + n_chunks - 1) / n_chunks;
-  std::vector<std::future<void>> futs;
-  futs.reserve(n_chunks);
-  for (std::size_t c = 0; c < n_chunks; ++c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    futs.push_back(submit([&fn, begin, end] { fn(begin, end); }));
+  job.unfinished = job.n_chunks;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    Job** tail = &queue_;
+    while (*tail != nullptr) tail = &(*tail)->queued_next;
+    *tail = &job;
   }
-  for (auto& f : futs) f.get();
+  // The caller takes chunks too, so n_chunks - 1 helpers suffice.
+  for (std::size_t i = 1; i < job.n_chunks; ++i) wake_.notify_one();
+  std::size_t ran = 0;
+  for (std::size_t c; (c = job.next.fetch_add(1)) < job.n_chunks; ++ran) {
+    run_chunk(job, c);
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  for (Job** p = &queue_; *p != nullptr; p = &(*p)->queued_next) {
+    if (*p == &job) {
+      *p = job.queued_next;
+      break;
+    }
+  }
+  job.unfinished -= ran;
+  job.done.wait(lock, [&job] { return job.unfinished == 0; });
+  lock.unlock();
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 ThreadPool& ThreadPool::global() {

@@ -1,21 +1,32 @@
-// Minimal fixed-size thread pool with a parallel_for helper.
+// The process's one compute pool and its parallel_for.
 //
-// The cluster simulation uses it to run the N workers of a global
-// iteration concurrently (they are data-parallel by construction: each
-// touches only its own shard, discriminator and inbox). Tensor kernels
-// use parallel_for for row-blocked matmul. On a 1-core host the pool is
-// created with a single thread and parallel_for degrades to a serial
-// loop through the exact same code path.
+// Tensor kernels split rows and tiles over it, and the cluster
+// simulation runs the N workers of a global iteration on it (they are
+// data-parallel by construction: each touches only its own shard,
+// discriminator and inbox). A worker body's kernels therefore nest a
+// parallel_for inside another one on the same pool.
+//
+// parallel_for is the pool's one entry point. The caller puts a job
+// descriptor on its own stack; idle pool threads and the caller itself
+// claim chunks from the job's atomic counter, and the caller then waits
+// only for chunks that other threads already hold. Those threads are
+// running, not queued behind a busy pool, so nesting cannot deadlock.
+// A waiting caller runs only its own job's chunks: GEMM packs into
+// thread_local scratch (tensor/gemm.cpp), and a foreign chunk that ran
+// a product of its own there would resize that scratch under the
+// caller's. Dispatch allocates nothing. On a 1-core host the pool has
+// one thread and parallel_for runs serially on the caller.
 #pragma once
 
-#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <functional>
-#include <future>
+#include <exception>
+#include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace mdgan {
@@ -27,9 +38,8 @@ namespace mdgan {
 constexpr std::size_t kParallelGrainElems = 1u << 15;
 
 // How many chunks [0, n) splits into under a minimum `grain` per chunk
-// on `threads` threads; <= 1 means run serially on the caller. The one
-// chunking policy shared by ThreadPool::parallel_for and the inline
-// fast path below.
+// on `threads` threads; <= 1 means run serially on the caller. The
+// chunking policy of ThreadPool::parallel_for.
 constexpr std::size_t parallel_chunk_count(std::size_t n, std::size_t grain,
                                            std::size_t threads) {
   if (n == 0) return 0;
@@ -50,54 +60,70 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  // Enqueue a task; the returned future rethrows any task exception.
-  std::future<void> submit(std::function<void()> task);
+  // Runs fn(begin, end) over [0, n) split into
+  // parallel_chunk_count(n, grain, size()) equal contiguous chunks, and
+  // returns once every chunk has finished. A single chunk (small n, or a
+  // one-thread pool) runs inline on the caller. Every chunk runs even if
+  // another throws; the exception of the lowest-numbered failing chunk
+  // is rethrown after the last one finishes. `grain` == 0 behaves like 1.
+  template <typename Fn>
+  void parallel_for(std::size_t n, std::size_t grain, Fn&& fn) {
+    const std::size_t n_chunks = parallel_chunk_count(n, grain, size());
+    if (n_chunks == 0) return;
+    if (n_chunks == 1) {
+      fn(std::size_t{0}, n);
+      return;
+    }
+    using F = std::remove_reference_t<Fn>;
+    Job job;
+    job.call = [](const void* f, std::size_t begin, std::size_t end) {
+      (*static_cast<F*>(const_cast<void*>(f)))(begin, end);
+    };
+    job.fn = std::addressof(fn);
+    job.n = n;
+    job.n_chunks = n_chunks;
+    run(job);
+  }
 
-  // Run fn(begin, end) over [0, n) split into roughly equal chunks, one
-  // per thread. Blocks until all chunks are done. Exceptions from chunks
-  // are propagated (the first one encountered).
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
-
-  // Grain-aware variant: never creates a chunk smaller than `grain`
-  // items, so small problems run inline on the calling thread (no task
-  // dispatch, no allocation) and large ones still fan out to all
-  // threads. `grain` == 0 behaves like 1.
-  void parallel_for(std::size_t n, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
+  template <typename Fn>
+  void parallel_for(std::size_t n, Fn&& fn) {
+    parallel_for(n, std::size_t{1}, std::forward<Fn>(fn));
+  }
 
   // Process-wide pool, lazily constructed.
   static ThreadPool& global();
 
  private:
+  // One multi-chunk parallel_for call; lives on the caller's stack.
+  struct Job {
+    void (*call)(const void* fn, std::size_t begin, std::size_t end) = nullptr;
+    const void* fn = nullptr;
+    std::size_t n = 0, n_chunks = 0;
+    std::atomic<std::size_t> next{0};  // next unclaimed chunk
+    // Guarded by the pool's mu_.
+    std::size_t unfinished = 0;
+    std::size_t error_chunk = 0;
+    std::exception_ptr error;
+    Job* queued_next = nullptr;
+    std::condition_variable done;
+  };
+
+  void run(Job& job);
+  void run_chunk(Job& job, std::size_t c);
   void worker_loop();
 
-  std::vector<std::thread> workers_;
-  std::queue<std::packaged_task<void()>> tasks_;
   std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable wake_;
+  // Jobs that may still have unclaimed chunks, oldest first.
+  Job* queue_ = nullptr;
   bool stop_ = false;
+  std::vector<std::thread> workers_;  // last: they use the members above
 };
 
-// Convenience free functions over the global pool. Templates so the
-// serial case (one chunk after applying the grain) invokes the callable
-// directly — no std::function construction, hence no heap allocation,
-// which is what keeps small warmed-up tensor ops allocation-free.
+// Convenience free function over the global pool.
 template <typename Fn>
 void parallel_for(std::size_t n, std::size_t grain, Fn&& fn) {
-  ThreadPool& pool = ThreadPool::global();
-  const std::size_t n_chunks = parallel_chunk_count(n, grain, pool.size());
-  if (n_chunks == 0) return;
-  if (n_chunks == 1) {
-    fn(std::size_t{0}, n);
-    return;
-  }
-  pool.parallel_for(n, grain, fn);
-}
-
-template <typename Fn>
-void parallel_for(std::size_t n, Fn&& fn) {
-  parallel_for(n, std::size_t{1}, std::forward<Fn>(fn));
+  ThreadPool::global().parallel_for(n, grain, std::forward<Fn>(fn));
 }
 
 }  // namespace mdgan

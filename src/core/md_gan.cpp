@@ -190,24 +190,6 @@ std::vector<std::size_t> MdGan::participating_discs(
   return out;
 }
 
-// In-flight pipelined round: the latents were already drawn from
-// server_rng_ (engine thread, plain draw order); the prefetch thread
-// forwards the θ snapshot and fills `blobs` — one immutable serialized
-// batch each. Complete once prefetch_thread_ is joined.
-struct MdGan::PendingRound {
-  std::size_t k_eff = 0;
-  std::vector<Tensor> latents;
-  std::vector<std::vector<int>> labels;
-  nn::Sequential g_snapshot;
-  std::vector<dist::SharedBuf::Segment> blobs;
-};
-
-MdGan::~MdGan() { join_prefetch(); }
-
-void MdGan::join_prefetch() {
-  if (prefetch_thread_.joinable()) prefetch_thread_.join();
-}
-
 // Serialize one generated batch into its immutable wire blob:
 // [floats X(j)][b × i32 labels] — the shared tail of every frame that
 // carries batch j.
@@ -217,43 +199,6 @@ static dist::SharedBuf::Segment encode_batch_blob(
   blob->write_floats(x.data(), x.numel());
   for (int y : labels) blob->write_pod<std::int32_t>(y);
   return blob;
-}
-
-void MdGan::server_prefetch_round(std::int64_t next_iter,
-                                  std::size_t k_eff) {
-  if (!runs_server() || k_eff == 0) return;
-  join_prefetch();
-  pending_round_.reset();  // an unconsumed prefetch is stale; drop it
-  auto p = std::make_unique<PendingRound>();
-  p->k_eff = k_eff;
-  const std::size_t b = cfg_.hp.batch;
-  // Latent draws happen HERE, on the engine thread, in per-batch order:
-  // the server_rng_ stream advances exactly as the plain path would
-  // advance it next round.
-  for (std::size_t j = 0; j < k_eff; ++j) {
-    std::vector<int> labels;
-    p->latents.push_back(
-        gan::sample_latent(arch_, codes_, b, server_rng_, labels));
-    p->labels.push_back(std::move(labels));
-  }
-  // Snapshot θ before the collect phase starts moving g_ (async applies
-  // run on this thread, the forward on the prefetch thread — they may
-  // not share the model).
-  Rng scratch = Rng(seed_).split(0x1417);
-  p->g_snapshot = gan::build_generator(arch_, scratch);
-  g_.clone_parameters_into(p->g_snapshot);
-  PendingRound* raw = p.get();
-  pending_round_ = std::move(p);
-  prefetch_thread_ = std::thread([raw] {
-    raw->blobs.reserve(raw->k_eff);
-    for (std::size_t j = 0; j < raw->k_eff; ++j) {
-      const Tensor x = raw->g_snapshot.forward(raw->latents[j],
-                                               /*train=*/true);
-      raw->blobs.push_back(encode_batch_blob(x, raw->labels[j]));
-    }
-  });
-  MDGAN_LOG_DEBUG << "MdGan: prefetching round " << next_iter << " (k_eff "
-                  << k_eff << ") while feedbacks drain";
 }
 
 void MdGan::server_generate_and_send(const std::vector<std::size_t>& discs,
@@ -270,34 +215,16 @@ void MdGan::server_generate_and_send(const std::vector<std::size_t>& discs,
   std::vector<dist::SharedBuf::Segment> blobs;
   blobs.reserve(k_eff);
 
-  // Pipelined: adopt the prefetched round when its k_eff still matches
-  // the membership (its latents came off server_rng_ in plain draw
-  // order, so adoption keeps the stream aligned). A mismatch — the
-  // participant count moved at the boundary — discards the prefetch and
-  // regenerates below.
-  bool adopted = false;
-  if (pending_round_ != nullptr) {
-    join_prefetch();  // blobs are complete after the join
-    if (pending_round_->k_eff == k_eff) {
-      latent_batches_ = std::move(pending_round_->latents);
-      latent_labels_ = std::move(pending_round_->labels);
-      blobs = std::move(pending_round_->blobs);
-      adopted = true;
-    }
-    pending_round_.reset();
-  }
-  if (!adopted) {
-    // Generate K = {X(1..k)}. Generated in train mode: the update-step
-    // re-forward reproduces the exact same activations (batch statistics
-    // depend only on the batch itself).
-    for (std::size_t j = 0; j < k_eff; ++j) {
-      std::vector<int> labels;
-      Tensor z = gan::sample_latent(arch_, codes_, b, server_rng_, labels);
-      blobs.push_back(encode_batch_blob(g_.forward(z, /*train=*/true),
-                                        labels));
-      latent_batches_.push_back(std::move(z));
-      latent_labels_.push_back(std::move(labels));
-    }
+  // Generate K = {X(1..k)}. Generated in train mode: the update-step
+  // re-forward reproduces the exact same activations (batch statistics
+  // depend only on the batch itself).
+  for (std::size_t j = 0; j < k_eff; ++j) {
+    std::vector<int> labels;
+    Tensor z = gan::sample_latent(arch_, codes_, b, server_rng_, labels);
+    blobs.push_back(encode_batch_blob(g_.forward(z, /*train=*/true),
+                                      labels));
+    latent_batches_.push_back(std::move(z));
+    latent_labels_.push_back(std::move(labels));
   }
 
   // SPLIT (§IV-B1): the participant at position p gets X_g = X(p mod k),
@@ -818,10 +745,6 @@ struct MdGan::EngineBridge final : RoundDelegate {
   void local_work(const std::vector<std::size_t>& discs) override {
     md.local_work(discs);
   }
-  void prefetch_round(std::int64_t next_iter,
-                      std::size_t k_eff_hint) override {
-    md.server_prefetch_round(next_iter, k_eff_hint);
-  }
   void fold_sync(std::vector<dist::Message>&& feedbacks,
                  std::size_t k_eff) override {
     md.server_fold_sync(std::move(feedbacks), k_eff);
@@ -864,7 +787,6 @@ void MdGan::train_from(std::int64_t first_iter, std::int64_t iters,
   ec.swap_enabled = cfg_.swap_enabled;
   ec.swap_period = swap_period();
   ec.max_staleness = cfg_.async_max_staleness;
-  ec.pipeline = cfg_.pipeline;
   ec.sink = cfg_.sink;
   // Per-link wire accounting rides the transport; leave an externally
   // attached sink alone.

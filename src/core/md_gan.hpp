@@ -73,7 +73,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "core/rejoin.hpp"
@@ -127,15 +126,6 @@ struct MdGanConfig {
   // step by 1/(1 + damping * staleness). 0 (default) disables damping,
   // which keeps the async trajectory identical to the pre-engine one.
   float async_staleness_damping = 0.f;
-  // Pipelined rounds: with the async server, snapshot θ and start
-  // generating + serializing round i+1's batches on a background thread
-  // while round i's feedbacks drain (double-buffered generator state;
-  // the latent draw order from server_rng_ is unchanged). In sync mode
-  // the flag is accepted but the overlap stays transport-level (queued
-  // sends drain on the transport's event loop): the barrier fold
-  // re-forwards this round's latents against unchanged parameters, so a
-  // sync run is bit-identical with or without the flag.
-  bool pipeline = false;
   // §VII-2 feedback compression on the W->C link.
   dist::CompressionConfig feedback_compression;
   // Churn-resilience budget for every blocking receive in the protocol
@@ -144,7 +134,7 @@ struct MdGanConfig {
   // (0 = unbounded). Exhaustion surfaces as std::runtime_error.
   std::size_t recv_churn_retries = 64;
   double recv_total_timeout_s = 0.0;
-  // Simulated compute costs (seconds), layered on the Network's link
+  // Simulated compute costs (seconds), layered on the SimNetwork's link
   // model via its virtual clock: per-worker cost of one local iteration
   // (L discriminator steps + feedback), and the server's cost of one
   // generator update. Zero by default, which — together with the
@@ -187,7 +177,6 @@ class MdGan {
         dist::Transport& net,
         const dist::AvailabilitySchedule* availability = nullptr,
         NodeRole role = NodeRole::in_process());
-  ~MdGan();  // joins any in-flight pipeline prefetch
 
   // Runs `iters` global iterations (= generator updates in sync mode;
   // in async mode one iteration still processes every participant but
@@ -247,7 +236,7 @@ class MdGan {
   // Simulated elapsed seconds of each completed round: the critical
   // path through that round — C->W batch delivery, the slowest worker's
   // local work and W->C feedback, the server's apply, and any
-  // discriminator swap — under the Network's link model plus the
+  // discriminator swap — under the SimNetwork's link model plus the
   // sim_*_seconds compute costs. All zeros when both are zero (the
   // default), so existing runs are unchanged.
   const std::vector<double>& round_sim_seconds() const {
@@ -289,17 +278,8 @@ class MdGan {
 
   void server_generate_and_send(const std::vector<std::size_t>& discs,
                                 std::size_t k_eff);
-  // Pipelined double-buffer (cfg_.pipeline, async server roles): draws
-  // round `next_iter`'s latents from server_rng_ on the calling engine
-  // thread — the RNG stream order is exactly what the plain path would
-  // consume — snapshots θ, and spawns prefetch_thread_ to forward the
-  // snapshot and serialize each batch into its shared wire blob while
-  // the current round's feedbacks drain. server_generate_and_send
-  // adopts the result when its k_eff matches, else discards it.
-  void server_prefetch_round(std::int64_t next_iter, std::size_t k_eff);
-  void join_prefetch();
   // Worker-side phase of one round for the participants this process
-  // embodies (in-process: all of them, fanned out over the cluster
+  // embodies (in-process: all of them, fanned out over the compute
   // pool; kWorker: the ones this worker hosts; kServer: none).
   void local_work(const std::vector<std::size_t>& discs);
   void worker_iteration(std::size_t disc_index);
@@ -349,11 +329,6 @@ class MdGan {
   // update step (index = batch id).
   std::vector<Tensor> latent_batches_;
   std::vector<std::vector<int>> latent_labels_;
-  // In-flight pipelined round (latents + θ snapshot + the blobs the
-  // prefetch thread fills); null when no prefetch is outstanding.
-  struct PendingRound;
-  std::unique_ptr<PendingRound> pending_round_;
-  std::thread prefetch_thread_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<Disc> discs_;

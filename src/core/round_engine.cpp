@@ -487,14 +487,6 @@ std::int64_t RoundEngine::run(std::int64_t first_iter, std::int64_t rounds) {
       live(i, "local");
       delegate_.local_work(discs);
     }
-    if (cfg_.pipeline && cfg_.mode == ServerMode::kAsync &&
-        cfg_.role.runs_server() && i + 1 < first_iter + rounds) {
-      // Double-buffer: the delegate snapshots its model and starts
-      // generating round i+1 in the background while round i's
-      // feedbacks drain in the collect phase below.
-      obs::Span s(tr, "phase:prefetch", obs::Cat::kPhase, self, i);
-      delegate_.prefetch_round(i + 1, k_eff);
-    }
     if (cfg_.role.runs_server()) {
       obs::Span s(tr, "phase:collect", obs::Cat::kPhase, self, i);
       live(i, "collect");

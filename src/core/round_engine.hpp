@@ -20,7 +20,7 @@
 //                delegate, which generates and sends the batches.
 //   kLocal       worker-side work: every participating discriminator
 //                trains and ships its feedback (in-process: fanned out
-//                over the cluster pool; a worker role runs only the
+//                over the compute pool; a worker role runs only the
 //                discriminators it hosts).
 //   kCollect     the server-side receive loop. It consumes the round's
 //                (sender, seq)-ordered feedback messages and dispatches
@@ -136,19 +136,6 @@ class RoundDelegate {
   // process embodies.
   virtual void local_work(const std::vector<std::size_t>& discs) = 0;
 
-  // Pipelining hook (RoundEngineConfig::pipeline, async server roles):
-  // called between the local and collect phases so the delegate can
-  // snapshot its model and start generating/serializing round
-  // `next_iter`'s batches while this round's feedbacks drain.
-  // `k_eff_hint` is this round's k_eff; membership can change at the
-  // next boundary, so a delegate must treat the hint as advisory and
-  // discard a mismatched prefetch. Default: no pipelining.
-  virtual void prefetch_round(std::int64_t next_iter,
-                              std::size_t k_eff_hint) {
-    (void)next_iter;
-    (void)k_eff_hint;
-  }
-
   // kCollect: the worker expected to send each participant's feedback,
   // aligned with `discs` (entry j is the holder of discs[j]). The
   // engine re-checks these senders' liveness whenever a blocking
@@ -188,14 +175,6 @@ struct RoundEngineConfig {
   // staleness exceeds this many applied steps. SIZE_MAX disables the
   // guard — every feedback is applied, the pre-engine §VII-1 behavior.
   std::size_t max_staleness = static_cast<std::size_t>(-1);
-  // Pipelined rounds: fire RoundDelegate::prefetch_round between the
-  // local and collect phases (async server roles only), overlapping the
-  // next round's generation with this round's feedback drain. Sync mode
-  // ignores the flag here — its barrier fold re-forwards this round's
-  // latents against unchanged parameters, so generation must not move
-  // ahead of the fold; a sync run with pipeline on is bit-identical to
-  // one without (the transport's event loop still drains queued sends).
-  bool pipeline = false;
   // Tag of the worker->server feedback messages the collect loop pops.
   std::string feedback_tag = "feedback";
   // How long a SCHEDULED crash-rejoin waits at the admission round for

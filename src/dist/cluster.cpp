@@ -2,23 +2,11 @@
 
 #include <algorithm>
 #include <exception>
-#include <future>
 #include <stdexcept>
 
 #include "common/thread_pool.hpp"
 
 namespace mdgan::dist {
-
-namespace {
-
-// Dedicated pool for worker bodies; see the header for why this is not
-// ThreadPool::global().
-ThreadPool& cluster_pool() {
-  static ThreadPool pool;
-  return pool;
-}
-
-}  // namespace
 
 void for_each_worker(const std::vector<int>& ids,
                      const std::function<void(int)>& fn, bool parallel) {
@@ -26,20 +14,21 @@ void for_each_worker(const std::vector<int>& ids,
     for (int id : ids) fn(id);
     return;
   }
-  std::vector<std::future<void>> futs;
-  futs.reserve(ids.size());
-  for (int id : ids) {
-    futs.push_back(cluster_pool().submit([&fn, id] { fn(id); }));
-  }
-  std::exception_ptr first;
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
+  // Each chunk runs all of its ids and then rethrows its first failure;
+  // the pool rethrows the lowest failing chunk's, which is therefore
+  // the first failure in id order.
+  ThreadPool::global().parallel_for(
+      ids.size(), [&](std::size_t begin, std::size_t end) {
+        std::exception_ptr first;
+        for (std::size_t i = begin; i < end; ++i) {
+          try {
+            fn(ids[i]);
+          } catch (...) {
+            if (!first) first = std::current_exception();
+          }
+        }
+        if (first) std::rethrow_exception(first);
+      });
 }
 
 double SimTimes::max_worker() const {

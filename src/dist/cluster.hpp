@@ -1,10 +1,9 @@
 // Umbrella header for the simulated cluster plus the worker fan-out
 // helper the training loops drive their per-iteration worker work
-// through. for_each_worker runs on a dedicated pool, distinct from
-// ThreadPool::global(): worker bodies call tensor kernels that
-// parallel_for over the global pool, and sharing one pool for both
-// levels could deadlock (every pool thread blocked in a worker body,
-// waiting for kernel chunks that have no thread left to run on).
+// through. for_each_worker runs on ThreadPool::global(), the same pool
+// the worker bodies' tensor kernels nest their parallel_for on; a
+// waiting caller there never blocks a chunk that still needs a thread,
+// so the nesting cannot deadlock (common/thread_pool.hpp).
 #pragma once
 
 #include <functional>
@@ -20,7 +19,7 @@
 namespace mdgan::dist {
 
 // Applies fn to every id. parallel=false (or a single id) runs inline
-// in order; parallel=true fans out over the cluster pool and blocks
+// in order; parallel=true fans out over the global pool and blocks
 // until all ids are done. The first exception thrown by any fn is
 // rethrown after every task has finished, so no worker body is ever
 // abandoned mid-flight.

@@ -2,7 +2,7 @@
 // direction): the error feedbacks F_n are b*d floats per worker per
 // iteration, and since they are gradients w.r.t. generated pixels they
 // tolerate lossy encodings. Compression is applied at the serialization
-// boundary, so the Table IV / Figure 2 traffic the Network records
+// boundary, so the Table IV / Figure 2 traffic the SimNetwork records
 // shrinks by exactly the wire savings.
 //
 // Wire format: 1 codec tag byte, then a codec-specific payload.

@@ -1,4 +1,4 @@
-// Simulated-time link models for dist::Network (the ROADMAP "link
+// Simulated-time link models for dist::SimNetwork (the ROADMAP "link
 // models" item). The transport so far accounted *bytes*; the paper's
 // headline claims are about *time* — time-to-FID of MD-GAN versus
 // FL-GAN — so every directed link (from, to) now carries parameters
@@ -15,7 +15,7 @@
 //           + latency_s + jitter            at a time, so back-to-back
 //                                           sends on one link serialize)
 //
-// The Network owns the dynamic state (per-node clocks, per-link
+// The SimNetwork owns the dynamic state (per-node clocks, per-link
 // busy-until); LinkModel itself is a pure parameter table, so one model
 // can be shared across experiment configurations.
 //
@@ -27,7 +27,7 @@
 // per-link message index is itself deterministic.
 //
 // The default-constructed model is the *zero model*: every parameter 0,
-// every transfer instantaneous. Network defaults to it, which keeps all
+// every transfer instantaneous. SimNetwork defaults to it, which keeps all
 // pre-existing byte/message accounting and training trajectories
 // byte-for-byte identical to the clock-less behavior.
 #pragma once

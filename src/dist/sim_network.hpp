@@ -43,7 +43,7 @@
 // the TcpNetwork control plane's epoch bumps so engine code written
 // against membership_epoch() behaves identically on either backend.
 //
-// All public methods are thread-safe; workers running on the cluster
+// All public methods are thread-safe; workers running on the compute
 // thread pool may send/receive concurrently.
 #pragma once
 
@@ -165,13 +165,5 @@ class SimNetwork final : public Transport {
   std::vector<std::vector<Window>> partitions_;  // per node
   std::uint64_t suspect_count_ = 0;
 };
-
-// DEPRECATED: the historical name of the in-process backend, kept so
-// the many tests/benches that construct the concrete simulator read
-// naturally. Prefer SimNetwork (explicit about being the test double)
-// or the abstract Transport seam in new code; the alias — and the
-// dist/network.hpp shim that forwards here — will be removed once
-// nothing spells the old name.
-using Network = SimNetwork;
 
 }  // namespace mdgan::dist

@@ -3,7 +3,7 @@
 // its shard; every E local epochs all workers ship both parameter sets
 // to the server, which averages them and broadcasts the result.
 //
-// Traffic is pushed through the simulated Network so the (θ+w)-sized
+// Traffic is pushed through the SimNetwork so the (θ+w)-sized
 // rounds of Table III/IV and Figure 2 are measured, not asserted.
 #pragma once
 
@@ -26,7 +26,7 @@ struct FlGanConfig {
 class FlGan {
  public:
   // `shards[n]` is worker n+1's local dataset B_n (use data::split_iid).
-  // The Network must have been constructed with shards.size() workers.
+  // The SimNetwork must have been constructed with shards.size() workers.
   FlGan(GanArch arch, FlGanConfig cfg,
         std::vector<data::InMemoryDataset> shards, std::uint64_t seed,
         dist::Transport& net);

@@ -42,7 +42,9 @@ Isa active_isa() {
 
 // Packing scratch is per-thread so concurrent gemms (cluster workers
 // each training their own discriminator) never contend, and reused
-// across calls so steady-state products allocate nothing.
+// across calls so steady-state products allocate nothing. It stays put
+// for a whole product because a parallel_for caller runs no other
+// job's chunks while it waits (common/thread_pool.hpp).
 template <typename T>
 struct PackScratch {
   std::vector<T> a, b;

@@ -35,7 +35,7 @@ TEST_P(MdGanConfigSweep, InvariantsHold) {
   auto full = data::make_synthetic_digits(c.workers * 24, 777);
   Rng split_rng(7);
   auto shards = data::split_iid(full, c.workers, split_rng);
-  dist::Network net(c.workers);
+  dist::SimNetwork net(c.workers);
 
   MdGanConfig cfg;
   cfg.hp.batch = c.batch;
@@ -100,7 +100,7 @@ TEST_P(MdGanConfigSweep, InvariantsHold) {
     auto full2 = data::make_synthetic_digits(c.workers * 24, 777);
     Rng split2(7);
     auto shards2 = data::split_iid(full2, c.workers, split2);
-    dist::Network net2(c.workers);
+    dist::SimNetwork net2(c.workers);
     MdGan md2(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,
               std::move(shards2), 31, net2);
     md2.train(iters);

@@ -32,7 +32,7 @@ std::vector<data::InMemoryDataset> shards_for(std::size_t n_workers,
 // --- async (§VII-1) -----------------------------------------------------
 
 TEST(AsyncMdGan, AppliesOneUpdatePerFeedback) {
-  dist::Network net(3);
+  dist::SimNetwork net(3);
   MdGanConfig cfg = base_cfg();
   cfg.async = true;
   MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,
@@ -44,7 +44,7 @@ TEST(AsyncMdGan, AppliesOneUpdatePerFeedback) {
 }
 
 TEST(AsyncMdGan, SyncAppliesOneUpdatePerIteration) {
-  dist::Network net(3);
+  dist::SimNetwork net(3);
   MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), base_cfg(),
            shards_for(3, 16, 1), 5, net);
   md.train(4);
@@ -53,7 +53,7 @@ TEST(AsyncMdGan, SyncAppliesOneUpdatePerIteration) {
 
 TEST(AsyncMdGan, DivergesFromSyncTrajectory) {
   auto run = [](bool async) {
-    dist::Network net(2);
+    dist::SimNetwork net(2);
     MdGanConfig cfg = base_cfg();
     cfg.async = async;
     MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,
@@ -66,7 +66,7 @@ TEST(AsyncMdGan, DivergesFromSyncTrajectory) {
 
 TEST(AsyncMdGan, DeterministicForSameSeed) {
   auto run = [] {
-    dist::Network net(2);
+    dist::SimNetwork net(2);
     MdGanConfig cfg = base_cfg();
     cfg.async = true;
     MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,
@@ -83,7 +83,7 @@ TEST(AsyncMdGan, SingleWorkerAsyncMatchesSyncUpdateCount) {
   // the 1/N scaling convention only when N > 1... with N=1 both scale
   // by 1, so they coincide).
   auto run = [](bool async) {
-    dist::Network net(1);
+    dist::SimNetwork net(1);
     MdGanConfig cfg = base_cfg();
     cfg.async = async;
     MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,
@@ -98,7 +98,7 @@ TEST(AsyncMdGan, SingleWorkerAsyncMatchesSyncUpdateCount) {
 
 TEST(CompressedMdGan, Int8ShrinksWorkerToServerTraffic) {
   auto traffic = [](dist::CompressionKind kind) {
-    dist::Network net(2);
+    dist::SimNetwork net(2);
     MdGanConfig cfg = base_cfg();
     cfg.swap_enabled = false;
     cfg.feedback_compression.kind = kind;
@@ -113,7 +113,7 @@ TEST(CompressedMdGan, Int8ShrinksWorkerToServerTraffic) {
 }
 
 TEST(CompressedMdGan, TopKShrinksTrafficFurther) {
-  dist::Network net(2);
+  dist::SimNetwork net(2);
   MdGanConfig cfg = base_cfg();
   cfg.swap_enabled = false;
   cfg.feedback_compression = {dist::CompressionKind::kTopK, 0.05f};
@@ -129,7 +129,7 @@ TEST(CompressedMdGan, TopKShrinksTrafficFurther) {
 TEST(CompressedMdGan, StillLearns) {
   // Compression is lossy but the generator must still move in a useful
   // direction: parameters change and no NaNs appear.
-  dist::Network net(2);
+  dist::SimNetwork net(2);
   MdGanConfig cfg = base_cfg();
   cfg.feedback_compression.kind = dist::CompressionKind::kQuantizeInt8;
   MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,
@@ -144,7 +144,7 @@ TEST(CompressedMdGan, StillLearns) {
 // --- sparse discriminators (§VII-4) --------------------------------------
 
 TEST(SparseMdGan, FewerDiscriminatorsThanWorkers) {
-  dist::Network net(4);
+  dist::SimNetwork net(4);
   MdGanConfig cfg = base_cfg();
   cfg.n_discriminators = 2;
   MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,
@@ -157,7 +157,7 @@ TEST(SparseMdGan, FewerDiscriminatorsThanWorkers) {
 }
 
 TEST(SparseMdGan, DiscriminatorsRelocateOnSwap) {
-  dist::Network net(4);
+  dist::SimNetwork net(4);
   MdGanConfig cfg = base_cfg();
   cfg.n_discriminators = 2;
   cfg.hp.batch = 16;  // m=16: swap every iteration
@@ -179,7 +179,7 @@ TEST(SparseMdGan, VisitsMultipleWorkersOverTime) {
   // Over enough swap periods the discriminators should touch more
   // workers than they could simultaneously occupy — the §VII-4 point
   // that the whole distributed dataset gets leveraged.
-  dist::Network net(5);
+  dist::SimNetwork net(5);
   MdGanConfig cfg = base_cfg();
   cfg.n_discriminators = 1;
   cfg.hp.batch = 16;  // swap every iteration
@@ -194,7 +194,7 @@ TEST(SparseMdGan, VisitsMultipleWorkersOverTime) {
 }
 
 TEST(SparseMdGan, DiscDiesWithItsHost) {
-  dist::Network net(3);
+  dist::SimNetwork net(3);
   dist::CrashSchedule crashes;
   crashes.add(2, 1);  // worker 1 hosts disc 0 initially
   MdGanConfig cfg = base_cfg();
@@ -209,7 +209,7 @@ TEST(SparseMdGan, DiscDiesWithItsHost) {
 }
 
 TEST(SparseMdGan, RejectsMoreDiscsThanWorkers) {
-  dist::Network net(2);
+  dist::SimNetwork net(2);
   MdGanConfig cfg = base_cfg();
   cfg.n_discriminators = 3;
   EXPECT_THROW(MdGan(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,
@@ -218,7 +218,7 @@ TEST(SparseMdGan, RejectsMoreDiscsThanWorkers) {
 }
 
 TEST(SparseMdGan, DiscriminatorOfThrowsForEmptyWorker) {
-  dist::Network net(3);
+  dist::SimNetwork net(3);
   MdGanConfig cfg = base_cfg();
   cfg.n_discriminators = 1;
   MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,

@@ -39,18 +39,18 @@ TEST(MdGan, KLogNMatchesPaperChoices) {
 }
 
 TEST(MdGan, ValidatesConstruction) {
-  dist::Network net(2);
+  dist::SimNetwork net(2);
   EXPECT_THROW(MdGan(gan::make_arch(gan::ArchKind::kMlpMnist), tiny_cfg(3),
                      shards_for(2, 16, 1), 1, net),
                std::invalid_argument);  // k > N
-  dist::Network net3(3);
+  dist::SimNetwork net3(3);
   EXPECT_THROW(MdGan(gan::make_arch(gan::ArchKind::kMlpMnist), tiny_cfg(1),
                      shards_for(2, 16, 1), 1, net3),
                std::invalid_argument);  // network/shard mismatch
 }
 
 TEST(MdGan, TrainsAndUpdatesGenerator) {
-  dist::Network net(2);
+  dist::SimNetwork net(2);
   MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), tiny_cfg(),
            shards_for(2, 16, 2), 7, net);
   const auto before = md.generator().flatten_parameters();
@@ -61,7 +61,7 @@ TEST(MdGan, TrainsAndUpdatesGenerator) {
 
 TEST(MdGan, DeterministicForSameSeed) {
   auto run = [] {
-    dist::Network net(2);
+    dist::SimNetwork net(2);
     MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), tiny_cfg(2),
              shards_for(2, 16, 3), 11, net);
     md.train(3);
@@ -75,7 +75,7 @@ TEST(MdGan, TrafficMatchesAnalyticModelExactly) {
   //   C->W: 2 x (4B batch id + 8B length + 4bd floats + 4b labels)
   //   W->C: 4B batch id + 1B codec tag + 8B length + 4bd floats
   const std::size_t n = 3, b = 8, d = 784;
-  dist::Network net(n);
+  dist::SimNetwork net(n);
   MdGanConfig cfg = tiny_cfg(2);
   cfg.swap_enabled = false;
   MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,
@@ -100,7 +100,7 @@ TEST(MdGan, TrafficMatchesAnalyticModelExactly) {
 TEST(MdGan, SwapHappensEveryEpochAndMovesThetaBytes) {
   // m=16, b=8 -> swap period 2 iterations. 4 iterations -> 2 swaps.
   const std::size_t n = 3;
-  dist::Network net(n);
+  dist::SimNetwork net(n);
   MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), tiny_cfg(),
            shards_for(n, 16, 5), 17, net);
   EXPECT_EQ(md.swap_period(), 2);
@@ -124,7 +124,7 @@ TEST(MdGan, SwapPermutesDiscriminatorsWithoutLoss) {
   MdGanConfig without = with;
   without.swap_enabled = false;
 
-  dist::Network net_a(n), net_b(n);
+  dist::SimNetwork net_a(n), net_b(n);
   MdGan a(arch, with, shards_for(n, 16, 6), 19, net_a);
   MdGan b(arch, without, shards_for(n, 16, 6), 19, net_b);
   a.train(1);
@@ -148,7 +148,7 @@ TEST(MdGan, SwapPermutesDiscriminatorsWithoutLoss) {
 }
 
 TEST(MdGan, NoSwapWithSingleWorker) {
-  dist::Network net(1);
+  dist::SimNetwork net(1);
   MdGanConfig cfg = tiny_cfg();
   cfg.hp.batch = 16;
   MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,
@@ -159,7 +159,7 @@ TEST(MdGan, NoSwapWithSingleWorker) {
 
 TEST(MdGan, CrashRemovesWorkerAndTrainingContinues) {
   const std::size_t n = 3;
-  dist::Network net(n);
+  dist::SimNetwork net(n);
   dist::CrashSchedule crashes;
   crashes.add(2, 1);
   MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), tiny_cfg(),
@@ -172,7 +172,7 @@ TEST(MdGan, CrashRemovesWorkerAndTrainingContinues) {
 
 TEST(MdGan, StopsWhenAllWorkersCrashed) {
   const std::size_t n = 2;
-  dist::Network net(n);
+  dist::SimNetwork net(n);
   dist::CrashSchedule crashes;
   crashes.add(2, 1);
   crashes.add(3, 2);
@@ -186,7 +186,7 @@ TEST(MdGan, KEffectiveShrinksWithCrashes) {
   // k=2 with 2 workers; after one crashes, k_eff drops to 1 and the
   // run still proceeds (regression guard for k > alive).
   const std::size_t n = 2;
-  dist::Network net(n);
+  dist::SimNetwork net(n);
   dist::CrashSchedule crashes;
   crashes.add(2, 2);
   MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), tiny_cfg(2),
@@ -197,7 +197,7 @@ TEST(MdGan, KEffectiveShrinksWithCrashes) {
 
 TEST(MdGan, DifferentKChangesTrajectory) {
   auto run = [](std::size_t k) {
-    dist::Network net(3);
+    dist::SimNetwork net(3);
     MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), tiny_cfg(k),
              shards_for(3, 16, 11), 41, net);
     md.train(3);
@@ -207,7 +207,7 @@ TEST(MdGan, DifferentKChangesTrajectory) {
 }
 
 TEST(MdGan, EvalHookFires) {
-  dist::Network net(2);
+  dist::SimNetwork net(2);
   MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), tiny_cfg(),
            shards_for(2, 16, 12), 43, net);
   std::vector<std::int64_t> hooks;
@@ -221,7 +221,7 @@ TEST(MdGan, ParallelAndSequentialWorkersAgree) {
   // Workers touch disjoint state; thread-pool execution must produce
   // the same result as sequential execution.
   auto run = [](bool parallel) {
-    dist::Network net(3);
+    dist::SimNetwork net(3);
     MdGanConfig cfg = tiny_cfg(2);
     cfg.parallel_workers = parallel;
     MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,

@@ -159,7 +159,7 @@ std::vector<data::InMemoryDataset> shards_for(std::size_t n_workers,
 
 TEST(MdGanAvailability, FailStopScheduleMatchesCrashScheduleBitForBit) {
   auto run = [](const AvailabilitySchedule& sched) {
-    dist::Network net(3);
+    dist::SimNetwork net(3);
     core::MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), tiny_cfg(),
                    shards_for(3, 16, 8), 29, net, &sched);
     md.train(4);
@@ -179,7 +179,7 @@ TEST(MdGanAvailability, FailStopScheduleMatchesCrashScheduleBitForBit) {
 
 TEST(MdGanAvailability, LeaveRejoinIsDeterministicAndFinite) {
   auto run = [] {
-    dist::Network net(3);
+    dist::SimNetwork net(3);
     AvailabilitySchedule sched;
     sched.add_absence(2, 2, 4);  // away for rounds 2 and 3
     core::MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), tiny_cfg(),
@@ -196,7 +196,7 @@ TEST(MdGanAvailability, LeaveRejoinIsDeterministicAndFinite) {
 }
 
 TEST(MdGanAvailability, AbsentWorkerShipsNothingWhileAway) {
-  dist::Network net(2);
+  dist::SimNetwork net(2);
   AvailabilitySchedule sched;
   sched.add_absence(2, 2, 3);  // away for round 2 only
   core::MdGanConfig cfg = tiny_cfg();
@@ -212,7 +212,7 @@ TEST(MdGanAvailability, AbsentWorkerShipsNothingWhileAway) {
 }
 
 TEST(MdGanAvailability, SwapSkipsAbsentWorkerInOneRun) {
-  dist::Network net(3);
+  dist::SimNetwork net(3);
   AvailabilitySchedule sched;
   sched.add_absence(3, 2, 3);  // away exactly for round 2
   core::MdGanConfig cfg = tiny_cfg();
@@ -235,7 +235,7 @@ TEST(MdGanAvailability, SwapSkipsAbsentWorkerInOneRun) {
 }
 
 TEST(MdGanAvailability, AllAwayRoundsIdleThenResume) {
-  dist::Network net(1);
+  dist::SimNetwork net(1);
   AvailabilitySchedule sched;
   sched.add_absence(1, 2, 4);  // the only worker is away for 2 rounds
   core::MdGanConfig cfg = tiny_cfg();

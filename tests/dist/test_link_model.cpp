@@ -1,7 +1,7 @@
 // Closed-form checks of the simulated-time link model: latency-only,
 // bandwidth-only, mixed, queueing, per-link overrides and straggler
 // throttling, jitter determinism — and the contract the whole PR rests
-// on: the zero model is byte-for-byte the pre-clock Network.
+// on: the zero model is byte-for-byte the pre-clock SimNetwork.
 #include "dist/link_model.hpp"
 
 #include <gtest/gtest.h>
@@ -44,7 +44,7 @@ TEST(LinkModel, LatencyOnlyClosedForm) {
   EXPECT_DOUBLE_EQ(m.delay(0, 1, 123456, 7).total(), 0.25);
   EXPECT_DOUBLE_EQ(m.delay(0, 1, 123456, 7).transmit_s, 0.0);
 
-  Network net(2);
+  SimNetwork net(2);
   net.set_link_model(m);
   net.send(kServerId, 1, "t", raw_bytes(64));
   auto msg = net.receive_tagged(1, "t");
@@ -60,7 +60,7 @@ TEST(LinkModel, BandwidthOnlyClosedForm) {
   EXPECT_DOUBLE_EQ(m.delay(1, 0, 250, 0).total(), 0.25);
   EXPECT_DOUBLE_EQ(m.delay(1, 0, 250, 0).transmit_s, 0.25);
 
-  Network net(2);
+  SimNetwork net(2);
   net.set_link_model(m);
   net.send(1, kServerId, "fb", raw_bytes(250));
   auto msg = net.receive_tagged(kServerId, "fb");
@@ -73,7 +73,7 @@ TEST(LinkModel, MixedAndQueueingClosedForm) {
   // latency 0.1s + 1000 B/s. Two back-to-back 500 B sends on the SAME
   // link queue behind each other: transmit finishes at 0.5 and 1.0, the
   // latency pipelines, so arrivals are 0.6 and 1.1.
-  Network net(2);
+  SimNetwork net(2);
   net.set_link_model(LinkModel(LinkParams{0.1, 1000.0, 0.0}));
   net.send(kServerId, 1, "t", raw_bytes(500));
   net.send(kServerId, 1, "t", raw_bytes(500));
@@ -140,7 +140,7 @@ TEST(LinkModel, JitterIsDeterministicPerSeedAndBounded) {
 
 TEST(LinkModel, JitteredNetworkRunsAreReproducible) {
   auto run = [] {
-    Network net(3);
+    SimNetwork net(3);
     net.set_link_model(LinkModel(LinkParams{0.01, 5000.0, 0.02}, 99));
     for (int w = 1; w <= 3; ++w) {
       net.send(kServerId, w, "t", raw_bytes(100));
@@ -163,13 +163,13 @@ TEST(LinkModel, ZeroModelMatchesDefaultNetworkByteForByte) {
   // Three networks — untouched default, explicit zero model, and a
   // decidedly nonzero model — driven through the same script must move
   // the exact same bytes; only the timestamps may differ.
-  Network plain(2);
-  Network zeroed(2);
+  SimNetwork plain(2);
+  SimNetwork zeroed(2);
   zeroed.set_link_model(LinkModel{});
-  Network timed(2);
+  SimNetwork timed(2);
   timed.set_link_model(LinkModel(LinkParams{0.005, 1e6, 0.001}, 3));
 
-  auto script = [](Network& net) {
+  auto script = [](SimNetwork& net) {
     std::vector<std::vector<std::uint8_t>> received;
     net.begin_iteration(1);
     net.send(kServerId, 1, "t", raw_bytes(33, 0x11));
@@ -213,7 +213,7 @@ TEST(LinkModel, ZeroModelMatchesDefaultNetworkByteForByte) {
 TEST(LinkModel, AdvanceTimeComposesWithZeroModel) {
   // advance_time is usable even without a link model: arrival = the
   // sender's (advanced) clock, and receive max-propagates it.
-  Network net(2);
+  SimNetwork net(2);
   net.advance_time(1, 1.5);
   EXPECT_DOUBLE_EQ(net.sim_time(1), 1.5);
   net.send(1, kServerId, "t", raw_bytes(8));
@@ -226,7 +226,7 @@ TEST(LinkModel, AdvanceTimeComposesWithZeroModel) {
 }
 
 TEST(LinkModel, CrashedWorkerFreezesOutOfCriticalPath) {
-  Network net(2);
+  SimNetwork net(2);
   net.advance_time(1, 5.0);
   net.advance_time(2, 1.0);
   EXPECT_DOUBLE_EQ(net.max_sim_time(), 5.0);
@@ -256,7 +256,7 @@ TEST(LinkModel, ConcurrentInboundTransfersShareTheServerNic) {
   // four inbound transfers serialize through the shared interface:
   // arrivals at 1, 2, 3, 4 seconds in send order.
   const std::size_t n = 4, bytes = 100;
-  Network net(n);
+  SimNetwork net(n);
   LinkModel m;
   m.set_nic(kServerId, 100.0);
   net.set_link_model(m);
@@ -273,7 +273,7 @@ TEST(LinkModel, ConcurrentInboundTransfersShareTheServerNic) {
   // Control: same traffic with independent links only (per-link
   // bandwidth 100 B/s, no NIC cap) — everybody arrives at 1 s because
   // each directed link has its own capacity.
-  Network independent(n);
+  SimNetwork independent(n);
   independent.set_link_model(LinkModel(LinkParams{0.0, 100.0, 0.0}));
   for (std::size_t w = 1; w <= n; ++w) {
     independent.send(static_cast<int>(w), kServerId, "fb",
@@ -288,7 +288,7 @@ TEST(LinkModel, ConcurrentInboundTransfersShareTheServerNic) {
 TEST(LinkModel, NicCapSharesTheServerEgressAcrossBroadcast) {
   // The server pushing k batches to 3 workers over infinite links but a
   // 1000 B/s NIC: the three sends serialize on the way *out*.
-  Network net(3);
+  SimNetwork net(3);
   LinkModel m;
   m.set_nic(kServerId, 1000.0);
   net.set_link_model(m);
@@ -303,14 +303,14 @@ TEST(LinkModel, NicCapSharesTheServerEgressAcrossBroadcast) {
 TEST(LinkModel, NicCapComposesWithLinkBandwidth) {
   // The slowest resource on the path governs the transmit time: a
   // 100 B/s link under a 1000 B/s receiver NIC still takes bytes/100.
-  Network net(2);
+  SimNetwork net(2);
   LinkModel m(LinkParams{0.0, 100.0, 0.0});
   m.set_nic(kServerId, 1000.0);
   net.set_link_model(m);
   net.send(1, kServerId, "t", raw_bytes(200));
   EXPECT_DOUBLE_EQ(net.receive_tagged(kServerId, "t")->arrival_s, 2.0);
   // And the reverse: a fast link throttled by the receiver NIC.
-  Network net2(2);
+  SimNetwork net2(2);
   LinkModel m2(LinkParams{0.0, 1000.0, 0.0});
   m2.set_nic(kServerId, 100.0);
   net2.set_link_model(m2);
@@ -320,7 +320,7 @@ TEST(LinkModel, NicCapComposesWithLinkBandwidth) {
 
 TEST(LinkModel, UncappedNodesKeepIndependentLinkBehavior) {
   // A NIC cap on the server must not change worker<->worker timing.
-  Network net(3);
+  SimNetwork net(3);
   LinkModel m(LinkParams{0.0, 100.0, 0.0});
   m.set_nic(kServerId, 50.0);
   net.set_link_model(m);

@@ -18,8 +18,8 @@ ByteBuffer payload_of(std::size_t n_floats, float fill = 1.f) {
 }
 
 TEST(Network, RejectsZeroWorkersAndBadIds) {
-  EXPECT_THROW(Network(0), std::invalid_argument);
-  Network net(2);
+  EXPECT_THROW(SimNetwork(0), std::invalid_argument);
+  SimNetwork net(2);
   EXPECT_THROW(net.send(0, 3, "t", ByteBuffer{}), std::out_of_range);
   EXPECT_THROW(net.send(-1, 1, "t", ByteBuffer{}), std::out_of_range);
   EXPECT_THROW(net.receive_tagged(5, "t"), std::out_of_range);
@@ -35,7 +35,7 @@ TEST(Network, LinkKindClassification) {
 }
 
 TEST(Network, RoutesToDestinationAndTag) {
-  Network net(2);
+  SimNetwork net(2);
   net.send(kServerId, 1, "a", payload_of(3, 1.f));
   net.send(kServerId, 2, "a", payload_of(3, 2.f));
   net.send(kServerId, 1, "b", payload_of(3, 3.f));
@@ -58,7 +58,7 @@ TEST(Network, RoutesToDestinationAndTag) {
 }
 
 TEST(Network, PerLinkByteAndMessageAccounting) {
-  Network net(3);
+  SimNetwork net(3);
   const std::size_t sz = 8 + 4 * 5;  // write_floats framing + 5 floats
   net.send(kServerId, 1, "t", payload_of(5));
   net.send(kServerId, 2, "t", payload_of(5));
@@ -76,7 +76,7 @@ TEST(Network, PerLinkByteAndMessageAccounting) {
 }
 
 TEST(Network, MaxIngressTracksPerIterationWindows) {
-  Network net(2);
+  SimNetwork net(2);
   net.begin_iteration(1);
   net.send(kServerId, 1, "t", payload_of(10));  // 48 B
   net.send(2, 1, "t", payload_of(10));          // 48 B -> window 96
@@ -91,7 +91,7 @@ TEST(Network, MaxIngressTracksPerIterationWindows) {
 }
 
 TEST(Network, ReceiveOrderIsSenderThenSequenceNotArrival) {
-  Network net(3);
+  SimNetwork net(3);
   // Arrival order 3, 1, 2: the receiver must still drain 1, 2, 3.
   net.send(3, kServerId, "fb", payload_of(1, 3.f));
   net.send(1, kServerId, "fb", payload_of(1, 1.f));
@@ -114,7 +114,7 @@ TEST(Network, DeterministicDrainUnderConcurrentSends) {
   // Many threads race their sends; the drain order must still be by
   // (sender, sequence) — the property the parallel-vs-sequential
   // training equivalence rests on.
-  Network net(8);
+  SimNetwork net(8);
   std::vector<std::thread> threads;
   for (int w = 1; w <= 8; ++w) {
     threads.emplace_back([&net, w] {
@@ -139,9 +139,9 @@ TEST(Network, SameSenderFifoUnderClusterPool) {
   // Regression for the receive-ordering doc/test gap: sequence numbers
   // are assigned under the network mutex in program order, so two sends
   // issued by one thread as the same sender can never be observed in
-  // the opposite order — even when many cluster-pool tasks hammer the
+  // the opposite order — even when many for_each_worker tasks hammer the
   // same sender id concurrently and physical enqueue order is racy.
-  Network net(4);
+  SimNetwork net(4);
   const int kTasks = 8, kMsgs = 50;
   std::vector<int> task_ids(kTasks);
   for (int t = 0; t < kTasks; ++t) task_ids[t] = t;
@@ -176,7 +176,7 @@ TEST(Network, SameSenderFifoUnderClusterPool) {
 TEST(Network, DefaultClocksStayAtZero) {
   // No link model, no advance_time: the virtual clock is inert and the
   // transport behaves exactly as before it existed.
-  Network net(2);
+  SimNetwork net(2);
   net.send(kServerId, 1, "t", payload_of(16));
   auto m = net.receive_tagged(1, "t");
   ASSERT_TRUE(m.has_value());
@@ -188,7 +188,7 @@ TEST(Network, DefaultClocksStayAtZero) {
 }
 
 TEST(Network, CrashDropsMailAndSilencesLinks) {
-  Network net(3);
+  SimNetwork net(3);
   net.send(kServerId, 1, "t", payload_of(4));
   EXPECT_EQ(net.pending(1), 1u);
   net.crash(1);
@@ -210,7 +210,7 @@ TEST(Network, CrashDropsMailAndSilencesLinks) {
 }
 
 TEST(Network, CrashBumpsMembershipEpochOncePerDeath) {
-  Network net(3);
+  SimNetwork net(3);
   EXPECT_EQ(net.membership_epoch(), 0u);
   net.crash(1);
   EXPECT_EQ(net.membership_epoch(), 1u);

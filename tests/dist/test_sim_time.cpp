@@ -1,5 +1,5 @@
 // Simulated-time semantics of a 1-server/N-worker round: hand-computed
-// critical paths on the raw Network, codec-vs-time tradeoffs on a
+// critical paths on the raw SimNetwork, codec-vs-time tradeoffs on a
 // bandwidth-bound link, and the MD-GAN training loop's per-round
 // timing (straggler monotonicity, zero-model invariance, closed-form
 // compute costs).
@@ -25,7 +25,7 @@ TEST(SimTime, HandComputedRoundCriticalPathIsSlowestWorker) {
   // 3 workers, 10 kB/s links, 10 ms latency; worker 2's links are 10x
   // slower. One synchronous round: batch down (100 B), 50 ms of local
   // compute, feedback up (40 B), 20 ms of server apply.
-  Network net(3);
+  SimNetwork net(3);
   LinkModel model(LinkParams{0.01, 1e4, 0.0});
   model.slow_node(2, 10.0);
   net.set_link_model(model);
@@ -78,7 +78,7 @@ TEST(SimTime, CodecsStrictlyReduceBandwidthBoundFeedbackTime) {
   for (auto& x : feedback) x = rng.normal(0.f, 0.05f);
 
   auto w2c_seconds = [&](const CompressionConfig& cfg) {
-    Network net(1);
+    SimNetwork net(1);
     net.set_link_model(LinkModel(LinkParams{0.0, 1e6, 0.0}));
     ByteBuffer buf;
     compress(feedback, cfg, buf);
@@ -124,7 +124,7 @@ struct MdRun {
 
 MdRun run_md(const LinkModel& model, core::MdGanConfig cfg,
              std::int64_t iters = 3) {
-  Network net(2);
+  SimNetwork net(2);
   net.set_link_model(model);
   core::MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,
                  shards_for(2, 9), 17, net);

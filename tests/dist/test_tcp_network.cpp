@@ -276,80 +276,6 @@ TEST(TcpMdGan, LoopbackRunMatchesSimulatorBitForBit) {
       << "the run should have exercised the relayed discriminator swap";
 }
 
-// The same acceptance run with --pipeline on every role: sync mode
-// keeps the barrier (generation for round i+1 never runs ahead of the
-// fold), so pipelining must be a strict no-op on the result — the TCP
-// endpoints land bit-identical to a PLAIN (non-pipelined) simulator
-// reference, weights and ledger alike, while the frames themselves ride
-// the async writers and the segmented zero-copy broadcast path.
-TEST(TcpMdGan, PipelinedSyncLoopbackStaysBitIdenticalToSimulator) {
-  const std::uint64_t seed = 29;
-  const std::size_t n_workers = 2, per_shard = 16;
-  const std::int64_t iters = 4;
-  const auto arch = gan::make_arch(gan::ArchKind::kMlpMnist);
-  core::MdGanConfig cfg;
-  cfg.hp.batch = 8;
-  cfg.hp.disc_steps = 1;
-  cfg.k = 2;
-  cfg.epochs_per_swap = 1;
-  cfg.parallel_workers = false;
-
-  auto full = data::make_synthetic_digits(n_workers * per_shard, seed);
-  Rng split_rng(seed);
-  const auto shards = data::split_iid(full, n_workers, split_rng);
-
-  // Reference: the simulator WITHOUT the pipeline flag.
-  SimNetwork sim(n_workers);
-  core::MdGan reference(arch, cfg, shards, seed, sim);
-  reference.train(iters);
-  const auto want = reference.generator().flatten_parameters();
-
-  cfg.pipeline = true;  // every TCP role opts in
-  auto server = TcpNetwork::serve(0, n_workers, fast_opts());
-  const auto port = server->port();
-  std::vector<float> got;
-  std::vector<std::string> errors(3);
-  std::thread server_thread([&] {
-    try {
-      core::MdGanConfig scfg = cfg;
-      scfg.shard_size = per_shard;
-      core::MdGan md(arch, scfg, {}, seed, *server, nullptr,
-                     core::NodeRole::server());
-      md.train(iters);
-      got = md.generator().flatten_parameters();
-    } catch (const std::exception& e) {
-      errors[0] = e.what();
-    }
-  });
-  std::vector<std::thread> worker_threads;
-  for (std::size_t w = 1; w <= n_workers; ++w) {
-    worker_threads.emplace_back([&, w] {
-      try {
-        auto net = TcpNetwork::connect("127.0.0.1", port,
-                                       static_cast<int>(w), n_workers,
-                                       fast_opts());
-        core::MdGan md(arch, cfg, {shards[w - 1]}, seed, *net, nullptr,
-                       core::NodeRole::worker(static_cast<int>(w)));
-        md.train(iters);
-      } catch (const std::exception& e) {
-        errors[w] = e.what();
-      }
-    });
-  }
-  server_thread.join();
-  for (auto& t : worker_threads) t.join();
-  for (std::size_t i = 0; i < errors.size(); ++i) {
-    EXPECT_TRUE(errors[i].empty()) << "role " << i << ": " << errors[i];
-  }
-
-  EXPECT_EQ(got, want);
-  for (auto kind : {LinkKind::kServerToWorker, LinkKind::kWorkerToServer,
-                    LinkKind::kWorkerToWorker}) {
-    EXPECT_EQ(server->totals(kind).bytes, sim.totals(kind).bytes);
-    EXPECT_EQ(server->totals(kind).messages, sim.totals(kind).messages);
-  }
-}
-
 // Elastic workers over real sockets: worker 2 is scheduled away for
 // rounds 2 and 3 and rejoins at round 4. The schedule is SPMD shared
 // knowledge (every role gets the identical one), so the run must

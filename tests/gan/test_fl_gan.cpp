@@ -27,21 +27,21 @@ std::vector<data::InMemoryDataset> shards_for(std::size_t n_workers,
 }
 
 TEST(FlGan, ConstructsWithMatchingNetwork) {
-  dist::Network net(3);
+  dist::SimNetwork net(3);
   FlGan fl(make_arch(ArchKind::kMlpMnist), tiny_cfg(), shards_for(3, 32, 1),
            11, net);
   EXPECT_EQ(fl.n_workers(), 3u);
 }
 
 TEST(FlGan, RejectsMismatchedNetwork) {
-  dist::Network net(2);
+  dist::SimNetwork net(2);
   EXPECT_THROW(FlGan(make_arch(ArchKind::kMlpMnist), tiny_cfg(),
                      shards_for(3, 32, 1), 11, net),
                std::invalid_argument);
 }
 
 TEST(FlGan, RoundLengthIsEpochTimesShardOverBatch) {
-  dist::Network net(2);
+  dist::SimNetwork net(2);
   FlGanConfig cfg = tiny_cfg();
   cfg.epochs_per_round = 2;
   FlGan fl(make_arch(ArchKind::kMlpMnist), cfg, shards_for(2, 32, 1), 11,
@@ -51,7 +51,7 @@ TEST(FlGan, RoundLengthIsEpochTimesShardOverBatch) {
 }
 
 TEST(FlGan, SynchronizationMovesModelSizedTraffic) {
-  dist::Network net(2);
+  dist::SimNetwork net(2);
   GanArch arch = make_arch(ArchKind::kMlpMnist);
   FlGan fl(arch, tiny_cfg(), shards_for(2, 16, 2), 13, net);
   // m=16, b=8 -> round = 2 iterations; run exactly one round.
@@ -67,7 +67,7 @@ TEST(FlGan, SynchronizationMovesModelSizedTraffic) {
 }
 
 TEST(FlGan, WorkersIdenticalAfterSync) {
-  dist::Network net(3);
+  dist::SimNetwork net(3);
   FlGan fl(make_arch(ArchKind::kMlpMnist), tiny_cfg(), shards_for(3, 16, 3),
            17, net);
   fl.train(2);  // exactly one round (m=16, b=8)
@@ -82,7 +82,7 @@ TEST(FlGan, WorkersIdenticalAfterSync) {
 TEST(FlGan, SingleWorkerSyncIsIdentity) {
   // With N=1 the average equals the worker: FL-GAN degenerates to a
   // standalone GAN on the shard (modulo the traffic).
-  dist::Network net(1);
+  dist::SimNetwork net(1);
   auto shard = shards_for(1, 32, 4);
   FlGan fl(make_arch(ArchKind::kMlpMnist), tiny_cfg(), std::move(shard), 19,
            net);
@@ -93,7 +93,7 @@ TEST(FlGan, SingleWorkerSyncIsIdentity) {
 
 TEST(FlGan, DeterministicAcrossRuns) {
   auto make = [] {
-    dist::Network net(2);
+    dist::SimNetwork net(2);
     FlGan fl(make_arch(ArchKind::kMlpMnist), tiny_cfg(),
              shards_for(2, 16, 5), 23, net);
     fl.train(3);
@@ -103,7 +103,7 @@ TEST(FlGan, DeterministicAcrossRuns) {
 }
 
 TEST(FlGan, EvalHookReceivesAveragedGenerator) {
-  dist::Network net(2);
+  dist::SimNetwork net(2);
   FlGan fl(make_arch(ArchKind::kMlpMnist), tiny_cfg(), shards_for(2, 16, 6),
            29, net);
   int calls = 0;

@@ -35,7 +35,7 @@ TEST(Integration, MdGanImprovesScoresOverTraining) {
   const std::size_t n = 2;
   Rng split_rng(3);
   auto shards = data::split_iid(p.train, n, split_rng);
-  dist::Network net(n);
+  dist::SimNetwork net(n);
   core::MdGanConfig cfg;
   cfg.hp = fast_hp();
   cfg.k = 1;
@@ -62,7 +62,7 @@ TEST(Integration, FlGanRunsEndToEnd) {
   const std::size_t n = 2;
   Rng split_rng(4);
   auto shards = data::split_iid(p.train, n, split_rng);
-  dist::Network net(n);
+  dist::SimNetwork net(n);
   gan::FlGanConfig cfg;
   cfg.hp = fast_hp();
   cfg.parallel_workers = false;
@@ -91,7 +91,7 @@ TEST(Integration, MdGanVsStandaloneSeeSameSampleBudget) {
 
   Rng split_rng(5);
   auto shards = data::split_iid(p.train, 2, split_rng);
-  dist::Network net(2);
+  dist::SimNetwork net(2);
   core::MdGanConfig cfg;
   cfg.hp = hp;
   cfg.parallel_workers = false;
@@ -108,7 +108,7 @@ TEST(Integration, CrashRunStillProducesUsableGenerator) {
   const std::size_t n = 3;
   Rng split_rng(6);
   auto shards = data::split_iid(p.train, n, split_rng);
-  dist::Network net(n);
+  dist::SimNetwork net(n);
   auto crashes = dist::CrashSchedule::evenly_spaced(60, n);
   core::MdGanConfig cfg;
   cfg.hp = fast_hp();
@@ -128,7 +128,7 @@ TEST(Integration, DeterministicEndToEnd) {
     auto train = data::make_synthetic_digits(128, 2001);
     Rng split_rng(7);
     auto shards = data::split_iid(train, 2, split_rng);
-    dist::Network net(2);
+    dist::SimNetwork net(2);
     core::MdGanConfig cfg;
     cfg.hp = fast_hp();
     cfg.parallel_workers = false;

@@ -5,13 +5,14 @@
 // reused arenas produces bit-identical weights to a reference that
 // allocates fresh layers (cold arenas) every step.
 //
-// Shapes are deliberately small enough to stay under the GEMM engine's
-// and elementwise ops' parallel grain, so the hot path is serial and
-// thus allocation-free on any host core count.
+// The Dense step also runs at a shape above the GEMM engine's parallel
+// grain, so on a multi-core host its products fan out to the thread
+// pool: dispatch must allocate nothing either.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/alloc_tracker.hpp"
@@ -24,29 +25,39 @@ namespace mdgan::nn {
 namespace {
 
 TEST(Workspace, DenseSteadyStateIsAllocationFree) {
-  Rng rng(1);
-  Dense layer(64, 32);
-  rng.fill_normal(layer.weight().data(), layer.weight().numel(), 0.f, 0.1f);
-  Tensor x = Tensor::randn({8, 64}, rng);
-  Tensor gy = Tensor::randn({8, 32}, rng);
-
-  // Grad pointers fetched once, as the optimizers do (Layer::grads()
-  // builds a fresh vector per call).
-  auto grads = layer.grads();
-  auto step = [&] {
-    const Tensor& y = layer.forward_ws(x, true);
-    (void)y;
-    const Tensor& dx = layer.backward_ws(gy);
-    (void)dx;
-    for (Tensor* g : grads) g->zero();
+  struct DenseCase {
+    std::size_t in, out, batch;
   };
-  for (int i = 0; i < 3; ++i) step();  // warm the arena + gemm scratch
+  // 64->32 at batch 8 stays serial; 512->512 at batch 64 fans out.
+  for (const DenseCase c : {DenseCase{64, 32, 8}, DenseCase{512, 512, 64}}) {
+    SCOPED_TRACE("Dense " + std::to_string(c.in) + "->" +
+                 std::to_string(c.out) + " at batch " +
+                 std::to_string(c.batch));
+    Rng rng(1);
+    Dense layer(c.in, c.out);
+    rng.fill_normal(layer.weight().data(), layer.weight().numel(), 0.f,
+                    0.1f);
+    Tensor x = Tensor::randn({c.batch, c.in}, rng);
+    Tensor gy = Tensor::randn({c.batch, c.out}, rng);
 
-  const AllocStats before = alloc_stats();
-  for (int i = 0; i < 10; ++i) step();
-  const AllocStats delta = alloc_stats() - before;
-  EXPECT_EQ(delta.count, 0u) << "bytes=" << delta.bytes;
-  EXPECT_EQ(delta.bytes, 0u);
+    // Grad pointers fetched once, as the optimizers do (Layer::grads()
+    // builds a fresh vector per call).
+    auto grads = layer.grads();
+    auto step = [&] {
+      const Tensor& y = layer.forward_ws(x, true);
+      (void)y;
+      const Tensor& dx = layer.backward_ws(gy);
+      (void)dx;
+      for (Tensor* g : grads) g->zero();
+    };
+    for (int i = 0; i < 3; ++i) step();  // warm the arena + gemm scratch
+
+    const AllocStats before = alloc_stats();
+    for (int i = 0; i < 10; ++i) step();
+    const AllocStats delta = alloc_stats() - before;
+    EXPECT_EQ(delta.count, 0u) << "bytes=" << delta.bytes;
+    EXPECT_EQ(delta.bytes, 0u);
+  }
 }
 
 TEST(Workspace, Conv2DSteadyStateIsAllocationFree) {

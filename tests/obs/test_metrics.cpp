@@ -113,7 +113,7 @@ TEST(Registry, SnapshotIsByteDeterministic) {
 TEST(Registry, MatchesTransportAccountantExactly) {
   const std::size_t n = 3;
   Sink sink;  // metrics only; tracer stays disabled
-  dist::Network net(n);
+  dist::SimNetwork net(n);
   net.set_sink(&sink);
 
   auto full = data::make_synthetic_digits(n * 16, 42);

@@ -136,7 +136,7 @@ std::vector<Shape> traced_sim_run() {
   sc.force_trace = true;
   Sink sink(sc);
   const std::size_t n = 2;
-  dist::Network net(n);
+  dist::SimNetwork net(n);
   auto full = data::make_synthetic_digits(n * 16, 9);
   Rng rng(9);
   core::MdGanConfig cfg;
