@@ -1,10 +1,10 @@
 // Micro benchmarks of the kernels the experiments stand on: matmul, the
 // im2col-based conv, the MLP generator/discriminator forward+backward,
-// the per-iteration worker feedback, swap serialization, feedback
-// compression, the per-message wire path of both transports (SimNetwork
-// mailbox, TCP framing, and a real loopback socket round trip), and the
-// derangement draw of the swap protocol. These quantify where a global
-// iteration's time goes.
+// the per-iteration worker feedback, the LeakyReLU activation, the Adam
+// step, swap serialization, feedback compression, the per-message wire
+// path of both transports (SimNetwork mailbox, TCP framing, and a real
+// loopback socket round trip), and the derangement draw of the swap
+// protocol. These quantify where a global iteration's time goes.
 //
 // Self-contained harness (no google-benchmark): each bench reports
 // ns/iter, GFLOP/s where the kernel has a defined flop count, and heap
@@ -33,6 +33,7 @@
 #include "dist/tcp_network.hpp"
 #include "gan/arch.hpp"
 #include "gan/trainer.hpp"
+#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/init.hpp"
 #include "obs/sink.hpp"
@@ -229,6 +230,23 @@ void bench_disc_learning_step(Harness& h) {
       auto stats =
           gan::disc_learning_step(d, adam, x_real, y, x_fake, y, true);
       volatile float sink = stats.loss_real;
+      (void)sink;
+    });
+  }
+}
+
+void bench_leaky_relu(Harness& h) {
+  // The discriminator's activation at its b x 512 hidden width: one
+  // forward plus one backward, as in every discriminator step.
+  for (std::size_t b : {std::size_t{8}, std::size_t{32}}) {
+    Rng rng(14);
+    nn::LeakyReLU act(0.2f);
+    Tensor x = Tensor::randn({b, 512}, rng);
+    Tensor g = Tensor::randn({b, 512}, rng);
+    h.run("BM_LeakyReLU/" + std::to_string(b), 0, [&] {
+      act.forward_ws(x, true);
+      const Tensor& d = act.backward_ws(g);
+      volatile float sink = d[0];
       (void)sink;
     });
   }
@@ -470,6 +488,7 @@ int main(int argc, char** argv) {
   bench_mlp_generator_forward(h);
   bench_worker_feedback(h);
   bench_disc_learning_step(h);
+  bench_leaky_relu(h);
   bench_swap_serialization(h);
   bench_feedback_compression(h);
   bench_wire_path(h);

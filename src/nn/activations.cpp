@@ -47,11 +47,14 @@ const Tensor& ReLU::backward_ws(const Tensor& grad_out) {
   const float* __restrict py = cached_output_->data();
   const float* __restrict pg = grad_out.data();
   float* __restrict pd = g.data();
-  parallel_for(g.numel(), kParallelGrainElems, [&](std::size_t e0, std::size_t e1) {
-    for (std::size_t i = e0; i < e1; ++i) {
-      pd[i] = py[i] > 0.f ? pg[i] : 0.f;
-    }
-  });
+  // pg[i] is loaded unconditionally so the select can vectorize.
+  parallel_for(g.numel(), kParallelGrainElems,
+               [py, pg, pd](std::size_t e0, std::size_t e1) {
+                 for (std::size_t i = e0; i < e1; ++i) {
+                   const float gi = pg[i];
+                   pd[i] = py[i] > 0.f ? gi : 0.f;
+                 }
+               });
   return g;
 }
 
@@ -71,14 +74,19 @@ Tensor LeakyReLU::backward(const Tensor& grad_out) {
 const Tensor& LeakyReLU::forward_ws(const Tensor& x, bool /*train*/) {
   ws_.reset();
   Tensor& y = ws_.acquire(x.shape());
-  const float a = alpha_;
   const float* __restrict p = x.data();
   float* __restrict py = y.data();
-  parallel_for(x.numel(), kParallelGrainElems, [&](std::size_t e0, std::size_t e1) {
-    for (std::size_t i = e0; i < e1; ++i) {
-      py[i] = p[i] > 0.f ? p[i] : a * p[i];
-    }
-  });
+  // The slope is read into a local before the loop: read through a
+  // reference, or through the closure when a pool thread runs the
+  // chunk, it could alias the store to py[i], and the loop would stay
+  // scalar.
+  parallel_for(x.numel(), kParallelGrainElems,
+               [p, py, alpha = alpha_](std::size_t e0, std::size_t e1) {
+                 const float a = alpha;
+                 for (std::size_t i = e0; i < e1; ++i) {
+                   py[i] = p[i] > 0.f ? p[i] : a * p[i];
+                 }
+               });
   cached_output_ = &y;
   return y;
 }
@@ -88,15 +96,16 @@ const Tensor& LeakyReLU::backward_ws(const Tensor& grad_out) {
   // alpha >= 0 keeps sign(y) == sign(x), so the output is its own mask
   // (x <= 0 gives y = alpha*x <= 0 either way).
   Tensor& g = ws_.acquire(grad_out.shape());
-  const float a = alpha_;
   const float* __restrict py = cached_output_->data();
   const float* __restrict pg = grad_out.data();
   float* __restrict pd = g.data();
-  parallel_for(g.numel(), kParallelGrainElems, [&](std::size_t e0, std::size_t e1) {
-    for (std::size_t i = e0; i < e1; ++i) {
-      pd[i] = py[i] > 0.f ? pg[i] : a * pg[i];
-    }
-  });
+  parallel_for(g.numel(), kParallelGrainElems,
+               [py, pg, pd, alpha = alpha_](std::size_t e0, std::size_t e1) {
+                 const float a = alpha;  // see forward_ws
+                 for (std::size_t i = e0; i < e1; ++i) {
+                   pd[i] = py[i] > 0.f ? pg[i] : a * pg[i];
+                 }
+               });
   return g;
 }
 

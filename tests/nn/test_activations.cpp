@@ -3,11 +3,31 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "helpers/gradient_check.hpp"
 
 namespace mdgan::nn {
 namespace {
+
+// A float's bit pattern, so a comparison tells -0 from +0.
+std::uint32_t bits(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof u);
+  return u;
+}
+
+// Number of elements whose bits differ; `first` gets the first of them.
+std::size_t count_mismatches(const Tensor& got, const std::vector<float>& want,
+                             std::size_t& first) {
+  std::size_t mismatches = 0;
+  first = want.size();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (bits(got[i]) != bits(want[i]) && mismatches++ == 0) first = i;
+  }
+  return mismatches;
+}
 
 TEST(Activations, ReLUForward) {
   ReLU relu;
@@ -63,6 +83,50 @@ TEST(Activations, LeakyReLUGradient) {
 TEST(Activations, TanhGradient) { check_activation_gradient(Tanh{}, 33); }
 TEST(Activations, SigmoidGradient) {
   check_activation_gradient(Sigmoid{}, 34);
+}
+
+TEST(Activations, ElementwiseLoopsAreExact) {
+  // The ReLU-family loops vectorize; they must still compute exactly the
+  // one-element expressions below. A lone multiply cannot be contracted,
+  // so this reference holds under any build flags. n = 7 runs mostly in
+  // the loops' tails, 4,096 and 16,384 are b x 512 at b = 8 and b = 32,
+  // and 40,000 is above kParallelGrainElems, so the pooled path runs.
+  const float specials[] = {0.f,    -0.f,    3.4e38f, -3.4e38f,
+                            1e-40f, -1e-40f, 1e-45f,  -1e-45f};
+  for (std::size_t n : {std::size_t{7}, std::size_t{4096},
+                        std::size_t{16384}, std::size_t{40000}}) {
+    SCOPED_TRACE(n);
+    Rng rng(n);
+    Tensor x = Tensor::randn({n}, rng);
+    Tensor g = Tensor::randn({n}, rng);
+    for (std::size_t i = 0, k = 0; i < n; ++i) {
+      if (i < 8 || i % 4 == 0) {
+        x[i] = specials[k % 8];
+        g[i] = specials[(k + 3) % 8];
+        ++k;
+      }
+    }
+
+    std::vector<float> leaky_y(n), leaky_d(n), relu_y(n), relu_d(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      leaky_y[i] = x[i] > 0.f ? x[i] : 0.2f * x[i];
+      leaky_d[i] = leaky_y[i] > 0.f ? g[i] : 0.2f * g[i];
+      relu_y[i] = x[i] > 0.f ? x[i] : 0.f;
+      relu_d[i] = relu_y[i] > 0.f ? g[i] : 0.f;
+    }
+
+    std::size_t first = 0;
+    LeakyReLU leaky(0.2f);
+    EXPECT_EQ(count_mismatches(leaky.forward_ws(x, true), leaky_y, first), 0u)
+        << "LeakyReLU forward, first at " << first;
+    EXPECT_EQ(count_mismatches(leaky.backward_ws(g), leaky_d, first), 0u)
+        << "LeakyReLU backward, first at " << first;
+    ReLU relu;
+    EXPECT_EQ(count_mismatches(relu.forward_ws(x, true), relu_y, first), 0u)
+        << "ReLU forward, first at " << first;
+    EXPECT_EQ(count_mismatches(relu.backward_ws(g), relu_d, first), 0u)
+        << "ReLU backward, first at " << first;
+  }
 }
 
 TEST(Activations, BackwardShapeMismatchThrows) {
