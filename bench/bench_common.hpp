@@ -197,8 +197,8 @@ inline Series run_fl_gan(const RunContext& ctx, gan::GanHyperParams hp,
 struct MdGanRunOptions {
   std::size_t k = 1;
   bool swap_enabled = true;
-  // Membership schedule: leave/rejoin intervals, or a plain
-  // CrashSchedule for fail-stop-only runs (Figure 5).
+  // Membership schedule: leave/rejoin intervals; leaves with no rejoin
+  // are the fail-stop crashes of Figure 5.
   const dist::AvailabilitySchedule* availability = nullptr;
   dist::CompressionConfig feedback_compression{};
   // §VII-1 async server: one Adam step per feedback, on arrival.

@@ -9,6 +9,32 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# serve LOG ARGS...: starts `./mdgan_node --role=server --port=0 ARGS...`
+# in the background with its output in LOG, waits until it listens, and
+# sets SERVER_PID and PORT.
+serve() {
+  local log=$1
+  shift
+  ./mdgan_node --role=server --port=0 "$@" > "$log" 2>&1 &
+  SERVER_PID=$!
+  PORT=""
+  for _ in $(seq 1 100); do
+    PORT=$(grep -oE 'listening on 0.0.0.0:[0-9]+' "$log" \
+           | grep -oE '[0-9]+$' || true)
+    [ -n "$PORT" ] && break
+    sleep 0.1
+  done
+  [ -n "$PORT" ] || { echo "mdgan_node server ($log) never listened"; exit 1; }
+}
+
+# wait_ok PID...: waits for each process in turn; a bare `wait` would
+# mask a failing node's exit code.
+wait_ok() {
+  for pid in "$@"; do
+    wait "$pid" || { echo "mdgan_node process $pid failed"; exit 1; }
+  done
+}
+
 # `ci.sh --tsan`: ThreadSanitizer pass over the concurrency-heavy
 # common/dist/core tests (the compute pool's callers and threads sharing
 # each job's chunks, each endpoint's event loop against the engine
@@ -25,24 +51,12 @@ if [ "${1:-}" = "--tsan" ]; then
   echo "--- tsan smoke: heartbeat-enabled loopback run"
   HB_FLAGS="--workers=2 --iters=3 --heartbeat-ms=50 --suspect-ms=300 \
     --grace-ms=2000 --recv-timeout=60"
-  ./mdgan_node --role=server --port=0 $HB_FLAGS \
-    > tsan_hb_server.log 2>&1 &
-  SERVER_PID=$!
-  PORT=""
-  for _ in $(seq 1 100); do
-    PORT=$(grep -oE 'listening on 0.0.0.0:[0-9]+' tsan_hb_server.log \
-           | grep -oE '[0-9]+$' || true)
-    [ -n "$PORT" ] && break
-    sleep 0.1
-  done
-  [ -n "$PORT" ] || { echo "tsan heartbeat server never listened"; exit 1; }
+  serve tsan_hb_server.log $HB_FLAGS
   ./mdgan_node --role=worker --id=1 --connect=127.0.0.1:"$PORT" $HB_FLAGS &
   W1_PID=$!
   ./mdgan_node --role=worker --id=2 --connect=127.0.0.1:"$PORT" $HB_FLAGS &
   W2_PID=$!
-  for pid in "$W1_PID" "$W2_PID" "$SERVER_PID"; do
-    wait "$pid" || { echo "tsan heartbeat process $pid failed"; exit 1; }
-  done
+  wait_ok "$W1_PID" "$W2_PID" "$SERVER_PID"
   cat tsan_hb_server.log
   grep -q 'finite=yes' tsan_hb_server.log || {
     echo "FAIL: tsan heartbeat run did not finish finite"; exit 1; }
@@ -93,28 +107,15 @@ echo "--- smoke: mdgan_node loopback TCP (server + 2 workers vs sim)"
 ./mdgan_node --role=sim --workers=2 --iters=2 \
   --trace-out=trace_sim.json --metrics-out=metrics_sim.jsonl \
   | tee mdgan_node_sim.log
-./mdgan_node --role=server --workers=2 --port=0 --iters=2 \
-  --trace-out=trace_tcp.json --metrics-out=metrics_tcp.jsonl \
-  > mdgan_node_server.log 2>&1 &
-SERVER_PID=$!
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(grep -oE 'listening on 0.0.0.0:[0-9]+' mdgan_node_server.log \
-         | grep -oE '[0-9]+$' || true)
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-[ -n "$PORT" ] || { echo "mdgan_node server never listened"; exit 1; }
+serve mdgan_node_server.log --workers=2 --iters=2 \
+  --trace-out=trace_tcp.json --metrics-out=metrics_tcp.jsonl
 ./mdgan_node --role=worker --id=1 --connect=127.0.0.1:"$PORT" \
   --workers=2 --iters=2 &
 W1_PID=$!
 ./mdgan_node --role=worker --id=2 --connect=127.0.0.1:"$PORT" \
   --workers=2 --iters=2 &
 W2_PID=$!
-# wait per pid: a bare `wait` would mask a failing node's exit code.
-for pid in "$W1_PID" "$W2_PID" "$SERVER_PID"; do
-  wait "$pid" || { echo "mdgan_node process $pid failed"; exit 1; }
-done
+wait_ok "$W1_PID" "$W2_PID" "$SERVER_PID"
 cat mdgan_node_server.log
 SIM_SUM=$(grep -oE 'generator_fnv1a=[0-9a-f]+' mdgan_node_sim.log)
 TCP_SUM=$(grep -oE 'generator_fnv1a=[0-9a-f]+' mdgan_node_server.log)
@@ -188,26 +189,14 @@ echo "--- smoke: cluster trace merge (3 workers, per-node traces + flows)"
 # goes first: its heartbeat-RTT clock-offset estimates are the
 # authority for aligning the worker timelines.
 MERGE_FLAGS="--workers=3 --iters=4 --k=2 --heartbeat-ms=100"
-./mdgan_node --role=server --port=0 $MERGE_FLAGS \
-  --trace-out=trace_node0.json > merge_server.log 2>&1 &
-SERVER_PID=$!
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(grep -oE 'listening on 0.0.0.0:[0-9]+' merge_server.log \
-         | grep -oE '[0-9]+$' || true)
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-[ -n "$PORT" ] || { echo "trace-merge server never listened"; exit 1; }
+serve merge_server.log $MERGE_FLAGS --trace-out=trace_node0.json
 for w in 1 2 3; do
   ./mdgan_node --role=worker --id="$w" --connect=127.0.0.1:"$PORT" \
     $MERGE_FLAGS --trace-out=trace_node"$w".json \
     > merge_w"$w".log 2>&1 &
   eval "W${w}_PID=\$!"
 done
-for pid in "$W1_PID" "$W2_PID" "$W3_PID" "$SERVER_PID"; do
-  wait "$pid" || { echo "trace-merge process $pid failed"; exit 1; }
-done
+wait_ok "$W1_PID" "$W2_PID" "$W3_PID" "$SERVER_PID"
 ./mdgan_trace_merge --out=trace_merged.json \
   trace_node0.json trace_node1.json trace_node2.json trace_node3.json \
   | tee trace_merge.log
@@ -258,24 +247,12 @@ PY
 echo "--- smoke: mdgan_node async loopback (server receive loop, 2 workers)"
 ASYNC_FLAGS="--workers=2 --iters=3 --server-mode=async"
 ./mdgan_node --role=sim $ASYNC_FLAGS | tee mdgan_async_sim.log
-./mdgan_node --role=server --port=0 $ASYNC_FLAGS \
-  > mdgan_async_server.log 2>&1 &
-SERVER_PID=$!
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(grep -oE 'listening on 0.0.0.0:[0-9]+' mdgan_async_server.log \
-         | grep -oE '[0-9]+$' || true)
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-[ -n "$PORT" ] || { echo "async mdgan_node server never listened"; exit 1; }
+serve mdgan_async_server.log $ASYNC_FLAGS
 ./mdgan_node --role=worker --id=1 --connect=127.0.0.1:"$PORT" $ASYNC_FLAGS &
 W1_PID=$!
 ./mdgan_node --role=worker --id=2 --connect=127.0.0.1:"$PORT" $ASYNC_FLAGS &
 W2_PID=$!
-for pid in "$W1_PID" "$W2_PID" "$SERVER_PID"; do
-  wait "$pid" || { echo "async mdgan_node process $pid failed"; exit 1; }
-done
+wait_ok "$W1_PID" "$W2_PID" "$SERVER_PID"
 cat mdgan_async_server.log
 # No checksum diff here: the async server applies one Adam step per
 # feedback in ARRIVAL order, which over real sockets is racy by design
@@ -313,18 +290,8 @@ echo "--- drill: kill -9 a worker mid-run (unscheduled fail-stop + rejoin)"
 # a bumped membership epoch rather than rejected as a duplicate.
 KILL_FLAGS="--workers=3 --iters=30 --k=2 --swap=0 --recv-timeout=15 \
   --log-level=info"
-./mdgan_node --role=server --port=0 $KILL_FLAGS \
-  --metrics-out=kill_metrics.jsonl --flight-out=kill_flight.jsonl \
-  > kill_server.log 2>&1 &
-SERVER_PID=$!
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(grep -oE 'listening on 0.0.0.0:[0-9]+' kill_server.log \
-         | grep -oE '[0-9]+$' || true)
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-[ -n "$PORT" ] || { echo "kill-drill server never listened"; exit 1; }
+serve kill_server.log $KILL_FLAGS \
+  --metrics-out=kill_metrics.jsonl --flight-out=kill_flight.jsonl
 ./mdgan_node --role=worker --id=1 --connect=127.0.0.1:"$PORT" \
   $KILL_FLAGS --step-delay-ms=60 > kill_w1.log 2>&1 &
 W1_PID=$!
@@ -362,9 +329,7 @@ wait "$W3_PID" && { echo "worker 3 survived its kill -9?"; exit 1; } || {
   rc=$?
   [ "$rc" -eq 137 ] || { echo "worker 3 exit=$rc, want 137"; exit 1; }
 }
-for pid in "$W1_PID" "$W2_PID" "$SERVER_PID"; do
-  wait "$pid" || { echo "kill-drill survivor $pid failed"; exit 1; }
-done
+wait_ok "$W1_PID" "$W2_PID" "$SERVER_PID"
 cat kill_server.log
 grep -q 'disconnected, mapping to fail-stop' kill_server.log || {
   echo "FAIL: server never logged the unscheduled fail-stop"; exit 1; }
@@ -425,17 +390,7 @@ echo "--- drill: transient partition inside the grace window (SIGSTOP)"
 # of 40 ms steps keep the run going well past the stop on a fast host.
 PART_FLAGS="--workers=2 --iters=40 --k=2 --swap=0 --recv-timeout=20 \
   --heartbeat-ms=100 --suspect-ms=400 --grace-ms=6000 --log-level=info"
-./mdgan_node --role=server --port=0 $PART_FLAGS \
-  --metrics-out=part_metrics.jsonl > part_server.log 2>&1 &
-SERVER_PID=$!
-PORT=""
-for _ in $(seq 1 100); do
-  PORT=$(grep -oE 'listening on 0.0.0.0:[0-9]+' part_server.log \
-         | grep -oE '[0-9]+$' || true)
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-[ -n "$PORT" ] || { echo "partition-drill server never listened"; exit 1; }
+serve part_server.log $PART_FLAGS --metrics-out=part_metrics.jsonl
 ./mdgan_node --role=worker --id=1 --connect=127.0.0.1:"$PORT" \
   $PART_FLAGS --step-delay-ms=40 > part_w1.log 2>&1 &
 W1_PID=$!
@@ -454,9 +409,7 @@ echo "partitioned worker 2 (SIGSTOP, pid $W2_PID)"
 sleep 1.2  # past suspect-ms=400, far inside grace-ms=6000
 kill -CONT "$W2_PID"
 echo "healed the partition (SIGCONT)"
-for pid in "$W1_PID" "$W2_PID" "$SERVER_PID"; do
-  wait "$pid" || { echo "partition-drill process $pid failed"; exit 1; }
-done
+wait_ok "$W1_PID" "$W2_PID" "$SERVER_PID"
 cat part_server.log
 grep -q 'silent past the suspect threshold' part_server.log || {
   echo "FAIL: server never suspected the partitioned worker"; exit 1; }

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   metrics::Evaluator evaluator(train, test, {64, 3, 64, 1e-3f}, 256, seed);
 
   // One crash every iters/N iterations: by the end, nobody is left.
-  auto crashes = dist::CrashSchedule::evenly_spaced(iters, workers);
+  auto crashes = dist::AvailabilitySchedule::evenly_spaced_crashes(iters, workers);
   std::printf(
       "MD-GAN with fail-stop crashes: %zu workers, one crash every %lld "
       "iterations\n\n",

@@ -197,10 +197,10 @@ NodeConfig parse_training_flags(const CliFlags& flags) {
   // many membership-epoch wakeups it survives (--recv-retries) and an
   // optional wall-clock ceiling across the retries (--recv-timeout-ms,
   // 0 = unbounded). Exhaustion is a clean std::runtime_error, exit 1.
-  nc.cfg.recv_churn_retries = static_cast<std::size_t>(flags.get_int(
-      "recv-retries", static_cast<std::int64_t>(nc.cfg.recv_churn_retries)));
-  nc.cfg.recv_total_timeout_s =
-      flags.get_double("recv-timeout-ms", 0.0) / 1000.0;
+  core::RecvRetryPolicy& retry = nc.cfg.recv_retry;
+  retry.churn_retries = static_cast<std::size_t>(flags.get_int(
+      "recv-retries", static_cast<std::int64_t>(retry.churn_retries)));
+  retry.total_timeout_s = flags.get_double("recv-timeout-ms", 0.0) / 1000.0;
   return nc;
 }
 
@@ -223,10 +223,11 @@ dist::TcpOptions tcp_options_from(const CliFlags& flags) {
   // worker becomes suspect after --suspect-ms and dead only after a
   // further --grace-ms, so a transient partition re-seats instead of
   // triggering the death fan-out.
-  opts.heartbeat_interval_s = flags.get_double("heartbeat-ms", 0.0) / 1000.0;
-  opts.suspect_after_s =
-      flags.get_double("suspect-ms", opts.suspect_after_s * 1000.0) / 1000.0;
-  opts.grace_s = flags.get_double("grace-ms", opts.grace_s * 1000.0) / 1000.0;
+  dist::LivenessConfig& live = opts.liveness;
+  live.heartbeat_interval_s = flags.get_double("heartbeat-ms", 0.0) / 1000.0;
+  live.suspect_after_s =
+      flags.get_double("suspect-ms", live.suspect_after_s * 1000.0) / 1000.0;
+  live.grace_s = flags.get_double("grace-ms", live.grace_s * 1000.0) / 1000.0;
   // Per-connection send queue bound (frames); a full queue
   // backpressures the producer until the event loop drains a slot.
   opts.send_queue_depth = static_cast<std::size_t>(flags.get_int(
@@ -296,17 +297,28 @@ int run_server(const NodeConfig& nc, std::uint16_t port,
   return 0;
 }
 
-int run_worker(const NodeConfig& nc, const std::string& connect, int id,
-               const dist::TcpOptions& opts) {
+// --connect's "host:port"; nullopt, after printing the usage error,
+// when it has no port.
+struct Peer {
+  std::string host;
+  std::uint16_t port;
+};
+std::optional<Peer> parse_connect(const std::string& connect) {
   const auto colon = connect.rfind(':');
   if (colon == std::string::npos) {
     std::fprintf(stderr, "mdgan_node: --connect wants host:port\n");
-    return 2;
+    return std::nullopt;
   }
-  const std::string host = connect.substr(0, colon);
-  const auto port =
-      static_cast<std::uint16_t>(std::stoi(connect.substr(colon + 1)));
-  auto net = dist::TcpNetwork::connect(host, port, id, nc.workers, opts);
+  return Peer{connect.substr(0, colon),
+              static_cast<std::uint16_t>(std::stoi(connect.substr(colon + 1)))};
+}
+
+int run_worker(const NodeConfig& nc, const std::string& connect, int id,
+               const dist::TcpOptions& opts) {
+  const auto peer = parse_connect(connect);
+  if (!peer) return 2;
+  auto net =
+      dist::TcpNetwork::connect(peer->host, peer->port, id, nc.workers, opts);
   std::printf("worker %d: connected to %s\n", id, connect.c_str());
   std::fflush(stdout);
   auto shards = shards_of(nc);
@@ -329,15 +341,10 @@ int run_worker(const NodeConfig& nc, const std::string& connect, int id,
 // arrived and the resumed run finished.
 int run_rejoin_probe(const NodeConfig& nc, const std::string& connect,
                      int id, const dist::TcpOptions& opts) {
-  const auto colon = connect.rfind(':');
-  if (colon == std::string::npos) {
-    std::fprintf(stderr, "mdgan_node: --connect wants host:port\n");
-    return 2;
-  }
-  const std::string host = connect.substr(0, colon);
-  const auto port =
-      static_cast<std::uint16_t>(std::stoi(connect.substr(colon + 1)));
-  auto net = dist::TcpNetwork::connect(host, port, id, nc.workers, opts);
+  const auto peer = parse_connect(connect);
+  if (!peer) return 2;
+  auto net =
+      dist::TcpNetwork::connect(peer->host, peer->port, id, nc.workers, opts);
   const bool ready = net->wait_ready();
   const bool granted = net->rejoin_granted();
   const auto epoch = net->membership_epoch();
@@ -380,15 +387,9 @@ int run_rejoin_probe(const NodeConfig& nc, const std::string& connect,
 // registry (byte counters equal to the server's printed traffic
 // totals). One shot, no join, no membership side effects.
 int run_stats_probe(const std::string& connect, double timeout_s) {
-  const auto colon = connect.rfind(':');
-  if (colon == std::string::npos) {
-    std::fprintf(stderr, "mdgan_node: --connect wants host:port\n");
-    return 2;
-  }
-  const std::string host = connect.substr(0, colon);
-  const auto port =
-      static_cast<std::uint16_t>(std::stoi(connect.substr(colon + 1)));
-  const auto snap = dist::fetch_stats(host, port, timeout_s);
+  const auto peer = parse_connect(connect);
+  if (!peer) return 2;
+  const auto snap = dist::fetch_stats(peer->host, peer->port, timeout_s);
   if (!snap.has_value()) {
     std::fprintf(stderr, "stats: no reply from %s\n", connect.c_str());
     return 1;

@@ -89,17 +89,16 @@ MdGan::MdGan(gan::GanArch arch, MdGanConfig cfg,
   // populate only the slots they embody.
   workers_.resize(n_workers);
   for (std::size_t n = 0; n < shards.size(); ++n) {
-    const std::size_t worker_1based =
-        role_.kind == NodeRole::Kind::kWorker
-            ? static_cast<std::size_t>(role_.worker_id)
-            : n + 1;
+    const int worker = role_.kind == NodeRole::Kind::kWorker
+                           ? role_.worker_id
+                           : static_cast<int>(n + 1);
     auto w = std::make_unique<Worker>();
     w->shard = std::move(shards[n]);
     if (w->shard.size() < cfg_.hp.batch) {
       throw std::invalid_argument("MdGan: shard smaller than batch size");
     }
-    w->rng = Rng(seed).split(0x3d9a).split(worker_1based);
-    workers_[worker_1based - 1] = std::move(w);
+    w->rng = sample_stream(worker);
+    workers_[static_cast<std::size_t>(worker - 1)] = std::move(w);
   }
   // m, which fixes the swap period: the first shard governs, as it
   // always has (hand-built uneven shards stay legal in-process). A
@@ -164,7 +163,7 @@ std::int64_t MdGan::swap_period() const {
   return period > 0 ? period : 1;
 }
 
-std::vector<std::size_t> MdGan::participating_discs(
+std::vector<std::size_t> MdGan::participants(
     const std::vector<int>& present_workers) {
   std::vector<std::size_t> out;
   for (std::size_t j = 0; j < discs_.size(); ++j) {
@@ -201,8 +200,16 @@ static dist::SharedBuf::Segment encode_batch_blob(
   return blob;
 }
 
-void MdGan::server_generate_and_send(const std::vector<std::size_t>& discs,
-                                     std::size_t k_eff) {
+std::vector<int> MdGan::feedback_senders(
+    const std::vector<std::size_t>& discs) {
+  std::vector<int> out;
+  out.reserve(discs.size());
+  for (auto j : discs) out.push_back(discs_[j].holder);
+  return out;
+}
+
+void MdGan::broadcast(const std::vector<std::size_t>& discs,
+                      std::size_t k_eff) {
   const std::size_t b = cfg_.hp.batch;
   latent_batches_.clear();
   latent_labels_.clear();
@@ -249,33 +256,14 @@ void MdGan::server_generate_and_send(const std::vector<std::size_t>& discs,
 }
 
 void MdGan::local_work(const std::vector<std::size_t>& discs) {
-  switch (role_.kind) {
-    case NodeRole::Kind::kInProcess: {
-      std::vector<int> ids(discs.size());
-      for (std::size_t p = 0; p < discs.size(); ++p) {
-        ids[p] = static_cast<int>(p);
-      }
-      dist::for_each_worker(
-          ids,
-          [this, &discs](int p) {
-            worker_iteration(discs[static_cast<std::size_t>(p)]);
-          },
-          cfg_.parallel_workers);
-      break;
-    }
-    case NodeRole::Kind::kServer:
-      break;
-    case NodeRole::Kind::kWorker:
-      // This process embodies one worker: run only the discriminators
-      // it currently hosts (receive_tagged blocks until the server's
-      // batches arrive over the wire).
-      for (std::size_t p = 0; p < discs.size(); ++p) {
-        if (discs_[discs[p]].holder == role_.worker_id) {
-          worker_iteration(discs[p]);
-        }
-      }
-      break;
+  hosted_.clear();
+  for (std::size_t j : discs) {
+    if (role_.hosts(discs_[j].holder)) hosted_.push_back(static_cast<int>(j));
   }
+  dist::for_each_worker(
+      hosted_,
+      [this](int j) { worker_iteration(static_cast<std::size_t>(j)); },
+      cfg_.parallel_workers);
 }
 
 std::optional<dist::Message> receive_resilient(dist::Transport& net, int node,
@@ -315,14 +303,6 @@ std::optional<dist::Message> receive_resilient(dist::Transport& net, int node,
   }
 }
 
-std::optional<dist::Message> MdGan::receive_resilient(int node,
-                                                      const std::string& tag,
-                                                      int sender) {
-  return core::receive_resilient(
-      net_, node, tag, sender,
-      RecvRetryPolicy{cfg_.recv_churn_retries, cfg_.recv_total_timeout_s});
-}
-
 void MdGan::worker_iteration(std::size_t disc_index) {
   Disc& disc = discs_[disc_index];
   Worker& w = *workers_[disc.holder - 1];
@@ -332,7 +312,8 @@ void MdGan::worker_iteration(std::size_t disc_index) {
                  iters_run_ + 1);
   if (local_steps_total_ != nullptr) local_steps_total_->inc();
 
-  auto msg = receive_resilient(disc.holder, "gen_batches", dist::kServerId);
+  auto msg = receive_resilient(net_, disc.holder, "gen_batches",
+                               dist::kServerId, cfg_.recv_retry);
   if (!msg) {
     throw std::logic_error("MdGan worker " + std::to_string(disc.holder) +
                            ": missing generated batches");
@@ -379,35 +360,31 @@ void MdGan::worker_iteration(std::size_t disc_index) {
   net_.send(disc.holder, dist::kServerId, "feedback", std::move(buf));
 }
 
-void MdGan::server_fold_sync(std::vector<dist::Message>&& feedbacks,
-                             std::size_t k_eff) {
-  const std::size_t b = cfg_.hp.batch;
-  const std::size_t d = arch_.image_dim();
+MdGan::Feedback MdGan::decode_feedback(dist::Message& msg,
+                                       std::size_t k_eff) {
+  const auto j = msg.payload.read_pod<std::uint32_t>();
+  if (j >= k_eff) throw std::logic_error("MdGan server: bad batch id");
+  if (msg.from > 0 && msg.from < static_cast<int>(readmitted_.size()) &&
+      readmitted_[static_cast<std::size_t>(msg.from)]) {
+    ++readmitted_feedback_;  // a state-transfer rejoiner is back in
+    if (readmitted_feedback_total_ != nullptr) {
+      readmitted_feedback_total_->inc();
+    }
+  }
+  return {msg.from, j,
+          Tensor({cfg_.hp.batch, arch_.image_dim()},
+                 dist::decompress(msg.payload))};
+}
 
+void MdGan::fold_sync(std::vector<dist::Message>&& feedbacks,
+                      std::size_t k_eff) {
   // The engine collected every feedback of the round; fold in ascending
   // sender order: SimNetwork already pops that way, but TCP frames
   // arrive in racy wall-clock order, and the float accumulation order
   // must not depend on which transport carried them.
-  struct Feedback {
-    int from;
-    std::uint32_t batch;
-    Tensor grad;
-  };
   std::vector<Feedback> received;
   received.reserve(feedbacks.size());
-  for (auto& msg : feedbacks) {
-    const auto j = msg.payload.read_pod<std::uint32_t>();
-    if (j >= k_eff) throw std::logic_error("MdGan server: bad batch id");
-    if (msg.from > 0 && msg.from < static_cast<int>(readmitted_.size()) &&
-        readmitted_[static_cast<std::size_t>(msg.from)]) {
-      ++readmitted_feedback_;  // a state-transfer rejoiner is back in
-      if (readmitted_feedback_total_ != nullptr) {
-        readmitted_feedback_total_->inc();
-      }
-    }
-    received.push_back(
-        {msg.from, j, Tensor({b, d}, dist::decompress(msg.payload))});
-  }
+  for (auto& msg : feedbacks) received.push_back(decode_feedback(msg, k_eff));
   std::sort(received.begin(), received.end(),
             [](const Feedback& a, const Feedback& b2) {
               return a.from < b2.from;  // one feedback per sender
@@ -451,27 +428,15 @@ void MdGan::server_fold_sync(std::vector<dist::Message>&& feedbacks,
   }
 }
 
-void MdGan::server_apply_async(dist::Message&& feedback,
-                               std::size_t staleness, std::size_t k_eff) {
-  const std::size_t b = cfg_.hp.batch;
-  const std::size_t d = arch_.image_dim();
+void MdGan::apply_async(dist::Message&& feedback, std::size_t staleness,
+                        std::size_t k_eff) {
   // One Adam update for this feedback, on arrival. The re-forward uses
   // the *current* generator parameters, which already moved since the
   // batch was generated — the inconsistent-update regime of §VII-1.
-  const auto j = feedback.payload.read_pod<std::uint32_t>();
-  if (j >= k_eff) throw std::logic_error("MdGan server: bad batch id");
-  if (feedback.from > 0 &&
-      feedback.from < static_cast<int>(readmitted_.size()) &&
-      readmitted_[static_cast<std::size_t>(feedback.from)]) {
-    ++readmitted_feedback_;
-    if (readmitted_feedback_total_ != nullptr) {
-      readmitted_feedback_total_->inc();
-    }
-  }
-  Tensor fb({b, d}, dist::decompress(feedback.payload));
+  const Feedback fb = decode_feedback(feedback, k_eff);
   g_opt_->zero_grad();
-  g_.forward(latent_batches_[j], /*train=*/true);
-  g_.backward(fb);
+  g_.forward(latent_batches_[fb.batch], /*train=*/true);
+  g_.backward(fb.grad);
   // Staleness-aware step: damping shrinks the learning rate of updates
   // computed against an old generator. Damping 0 is a plain step.
   const float scale =
@@ -489,8 +454,9 @@ void MdGan::server_apply_async(dist::Message&& feedback,
   }
 }
 
-void MdGan::swap_discriminators(const std::vector<int>& present_workers) {
-  auto alive_discs = participating_discs(present_workers);
+void MdGan::swap(std::int64_t /*iter*/,
+                 const std::vector<int>& present_workers) {
+  auto alive_discs = participants(present_workers);
   if (alive_discs.empty() || present_workers.size() < 2) {
     if (swap_skipped_total_ != nullptr) swap_skipped_total_->inc();
     return;
@@ -526,123 +492,105 @@ void MdGan::swap_discriminators(const std::vector<int>& present_workers) {
     return;
   }
 
-  // Ship parameters old holder -> new holder (W->W traffic), then
-  // adopt. The wire carries θ only — the paper's swap cost — so the
-  // host-local Adam moments cannot travel with the discriminator; every
-  // adoption resets them, in-process included, which is what keeps
+  // Ship parameters old holder -> new holder (W->W traffic) for every
+  // discriminator this process hosts, then adopt every one that lands
+  // on a worker it hosts; the server hosts none and only replays the
+  // holder bookkeeping. The wire carries θ only — the paper's swap
+  // cost — so the host-local Adam moments cannot travel with the
+  // discriminator; every adoption resets them, which is what keeps
   // role-split (TCP) and in-process runs bit-identical.
-  switch (role_.kind) {
-    case NodeRole::Kind::kInProcess:
-      for (std::size_t p = 0; p < nd; ++p) {
-        Disc& disc = discs_[alive_discs[p]];
-        const auto params = disc.net.flatten_parameters();
-        ByteBuffer buf;
-        buf.write_pod<std::uint32_t>(
-            static_cast<std::uint32_t>(alive_discs[p]));
-        buf.write_floats(params.data(), params.size());
-        net_.send(disc.holder, targets[p], "disc_swap", std::move(buf));
+  for (std::size_t p = 0; p < nd; ++p) {
+    Disc& disc = discs_[alive_discs[p]];
+    if (!role_.hosts(disc.holder)) continue;
+    const auto params = disc.net.flatten_parameters();
+    ByteBuffer buf;
+    buf.write_pod<std::uint32_t>(static_cast<std::uint32_t>(alive_discs[p]));
+    buf.write_floats(params.data(), params.size());
+    net_.send(disc.holder, targets[p], "disc_swap", std::move(buf));
+  }
+  for (std::size_t p = 0; p < nd; ++p) {
+    const int target = targets[p];
+    if (!role_.hosts(target)) continue;
+    // The incoming parameters travel from the old holder (via the relay
+    // over TCP); if that worker crashed unscheduled mid-swap they will
+    // never arrive. Skip the adoption — the holder bookkeeping below
+    // still runs, so this view stays aligned with the other roles', and
+    // the next membership round prunes the orphan.
+    const int source = discs_[alive_discs[p]].holder;
+    auto msg =
+        receive_resilient(net_, target, "disc_swap", source, cfg_.recv_retry);
+    if (!msg) {
+      if (!net_.is_alive(source)) {
+        MDGAN_LOG_WARN << "MdGan worker " << target << ": swap source "
+                       << source << " died mid-swap; keeping current "
+                          "discriminator " << alive_discs[p]
+                       << " parameters";
+        continue;
       }
-      for (std::size_t p = 0; p < nd; ++p) {
-        Disc& disc = discs_[alive_discs[p]];
-        auto msg = net_.receive_tagged(targets[p], "disc_swap");
-        if (!msg) throw std::logic_error("MdGan swap: missing message");
-        msg->payload.read_pod<std::uint32_t>();
-        disc.net.assign_parameters(msg->payload.read_floats());
-        disc.opt->reset();
-        disc.holder = targets[p];
-      }
-      break;
-    case NodeRole::Kind::kServer:
-      // The parameters move worker-to-worker; the server only replays
-      // the holder bookkeeping.
-      for (std::size_t p = 0; p < nd; ++p) {
-        discs_[alive_discs[p]].holder = targets[p];
-      }
-      break;
-    case NodeRole::Kind::kWorker: {
-      const int me = role_.worker_id;
-      for (std::size_t p = 0; p < nd; ++p) {
-        Disc& disc = discs_[alive_discs[p]];
-        if (disc.holder != me) continue;
-        const auto params = disc.net.flatten_parameters();
-        ByteBuffer buf;
-        buf.write_pod<std::uint32_t>(
-            static_cast<std::uint32_t>(alive_discs[p]));
-        buf.write_floats(params.data(), params.size());
-        net_.send(me, targets[p], "disc_swap", std::move(buf));
-      }
-      for (std::size_t p = 0; p < nd; ++p) {
-        if (targets[p] != me) continue;
-        // The incoming parameters travel from the old holder via the
-        // relay; if that worker crashed unscheduled mid-swap they will
-        // never arrive. Skip the adoption — the holder bookkeeping
-        // below still runs, so this view stays aligned with the other
-        // roles', and the next membership round prunes the orphan.
-        const int source = discs_[alive_discs[p]].holder;
-        auto msg = receive_resilient(me, "disc_swap", source);
-        if (!msg) {
-          if (!net_.is_alive(source)) {
-            MDGAN_LOG_WARN << "MdGan worker " << me << ": swap source "
-                           << source << " died mid-swap; keeping current "
-                              "discriminator " << alive_discs[p]
-                           << " parameters";
-            continue;
-          }
-          throw std::logic_error("MdGan swap: missing message");
-        }
-        const auto idx = msg->payload.read_pod<std::uint32_t>();
-        if (idx != alive_discs[p]) {
-          throw std::logic_error("MdGan swap: discriminator id mismatch");
-        }
-        Disc& disc = discs_[idx];
-        disc.net.assign_parameters(msg->payload.read_floats());
-        disc.opt->reset();
-      }
-      for (std::size_t p = 0; p < nd; ++p) {
-        discs_[alive_discs[p]].holder = targets[p];
-      }
-      break;
+      throw std::logic_error("MdGan swap: missing message");
+    }
+    const auto idx = msg->payload.read_pod<std::uint32_t>();
+    if (idx != alive_discs[p]) {
+      throw std::logic_error("MdGan swap: discriminator id mismatch");
+    }
+    Disc& disc = discs_[idx];
+    disc.net.assign_parameters(msg->payload.read_floats());
+    disc.opt->reset();
+  }
+  for (std::size_t p = 0; p < nd; ++p) {
+    discs_[alive_discs[p]].holder = targets[p];
+  }
+}
+
+void MdGan::rebirth(std::size_t j, int worker, std::int64_t round) {
+  Rng scratch = Rng(seed_)
+                    .split(0xd15c)
+                    .split(static_cast<std::uint64_t>(worker))
+                    .split(static_cast<std::uint64_t>(round))
+                    .split(j);
+  Disc& disc = discs_[j];
+  disc.net = gan::build_discriminator(arch_, scratch);
+  disc.opt = std::make_unique<opt::Adam>(disc.net.params(), disc.net.grads(),
+                                         cfg_.hp.d_adam);
+  disc.holder = worker;
+}
+
+Rng MdGan::sample_stream(int worker, std::int64_t round) const {
+  const Rng stream =
+      Rng(seed_).split(0x3d9a).split(static_cast<std::uint64_t>(worker));
+  return round > 0 ? stream.split(static_cast<std::uint64_t>(round)) : stream;
+}
+
+void MdGan::on_leave(int worker, bool permanent, std::int64_t /*iter*/) {
+  if (!permanent) return;  // dormant discs stay with their host
+  for (std::size_t j = 0; j < discs_.size(); ++j) {
+    if (discs_[j].holder == worker) {
+      last_holder_[j] = worker;  // a re-admission rebirths it here
+      discs_[j].holder = -1;     // died with its host
     }
   }
 }
 
-void MdGan::readmit_worker(int worker, std::int64_t round) {
-  // Rebirth every discriminator that died with this worker: a FRESH
-  // model (the old parameters died with the old incarnation and cannot
-  // be recovered), drawn from a stream every role derives identically
-  // from (seed, worker, admission round, disc index) — the rejoiner in
-  // adopt_rejoin_state, the server and every survivor here. Fresh Adam
-  // moments too, like a swap adoption.
+void MdGan::on_readmit(int worker, std::int64_t round) {
+  // Rebirth every discriminator that died with this worker; every role
+  // derives the same fresh model — the rejoiner in adopt_rejoin_state,
+  // the server and every survivor here.
   for (std::size_t j = 0; j < discs_.size(); ++j) {
     if (discs_[j].holder != -1 || last_holder_[j] != worker) continue;
-    Rng scratch = Rng(seed_)
-                      .split(0xd15c)
-                      .split(static_cast<std::uint64_t>(worker))
-                      .split(static_cast<std::uint64_t>(round))
-                      .split(j);
-    discs_[j].net = gan::build_discriminator(arch_, scratch);
-    discs_[j].opt = std::make_unique<opt::Adam>(
-        discs_[j].net.params(), discs_[j].net.grads(), cfg_.hp.d_adam);
-    discs_[j].holder = worker;
+    rebirth(j, worker, round);
     last_holder_[j] = -1;
     MDGAN_LOG_INFO << "MdGan: discriminator " << j << " reborn on worker "
                    << worker << " (admission round " << round << ")";
   }
-  // Reseed the worker's sampling stream from the admission round (a
-  // shared-knowledge tuple): the restarted process cannot know how far
-  // the old incarnation drew, so every role restarts the stream at the
-  // same point instead.
+  // The restarted process cannot know how far the old incarnation drew,
+  // so every role restarts the worker's sampling stream at the same
+  // point instead.
   auto& slot = workers_[static_cast<std::size_t>(worker - 1)];
-  if (slot != nullptr) {
-    slot->rng = Rng(seed_)
-                    .split(0x3d9a)
-                    .split(static_cast<std::uint64_t>(worker))
-                    .split(static_cast<std::uint64_t>(round));
-  }
+  if (slot != nullptr) slot->rng = sample_stream(worker, round);
   readmitted_[static_cast<std::size_t>(worker)] = true;
 }
 
-ByteBuffer MdGan::serialize_rejoin_state(std::int64_t round) {
+ByteBuffer MdGan::make_rejoin_state(int /*worker*/, std::int64_t round) {
   RejoinState st;
   st.admission_round = round;
   st.membership_epoch = net_.membership_epoch();
@@ -666,108 +614,37 @@ void MdGan::adopt_rejoin_state(RejoinState&& st) {
   }
   g_.assign_parameters(st.generator_params);
   swap_rng_.set_state(st.swap_rng);
+  const bool worker_role = role_.kind == NodeRole::Kind::kWorker;
   const int me = role_.worker_id;
   for (std::size_t j = 0; j < discs_.size(); ++j) {
     discs_[j].holder = st.holders[j];
     last_holder_[j] = -1;
-    if (st.holders[j] == me && role_.kind == NodeRole::Kind::kWorker) {
-      // The holder map was serialized AFTER the server re-admitted this
-      // worker, so the discriminators mapped to it are the reborn ones:
-      // derive the identical fresh model the other roles derived.
-      Rng scratch = Rng(seed_)
-                        .split(0xd15c)
-                        .split(static_cast<std::uint64_t>(me))
-                        .split(static_cast<std::uint64_t>(st.admission_round))
-                        .split(j);
-      discs_[j].net = gan::build_discriminator(arch_, scratch);
-      discs_[j].opt = std::make_unique<opt::Adam>(
-          discs_[j].net.params(), discs_[j].net.grads(), cfg_.hp.d_adam);
+    // The holder map was serialized AFTER the server re-admitted this
+    // worker, so the discriminators mapped to it are the reborn ones:
+    // derive the identical fresh model the other roles derived.
+    if (worker_role && st.holders[j] == me) {
+      rebirth(j, me, st.admission_round);
     }
   }
-  if (role_.kind == NodeRole::Kind::kWorker) {
+  if (worker_role) {
     workers_[static_cast<std::size_t>(me - 1)]->rng =
-        Rng(seed_)
-            .split(0x3d9a)
-            .split(static_cast<std::uint64_t>(me))
-            .split(static_cast<std::uint64_t>(st.admission_round));
+        sample_stream(me, st.admission_round);
   }
   MDGAN_LOG_INFO << "MdGan: adopted rejoin state (admission round "
                  << st.admission_round << ", epoch " << st.membership_epoch
                  << ", " << st.generator_params.size() << " generator params)";
 }
 
-// Binds the engine's phase callbacks to the trainer plus the train()
-// call's eval context.
-struct MdGan::EngineBridge final : RoundDelegate {
-  MdGan& md;
-  std::int64_t total_iters;
-  std::int64_t eval_every;
-  const gan::EvalHook& hook;
-
-  EngineBridge(MdGan& m, std::int64_t iters, std::int64_t every,
-               const gan::EvalHook& h)
-      : md(m), total_iters(iters), eval_every(every), hook(h) {}
-
-  void on_leave(int worker, bool permanent, std::int64_t /*iter*/) override {
-    if (!permanent) return;  // dormant discs stay with their host
-    for (std::size_t j = 0; j < md.discs_.size(); ++j) {
-      if (md.discs_[j].holder == worker) {
-        md.last_holder_[j] = worker;  // a re-admission rebirths it here
-        md.discs_[j].holder = -1;     // died with its host
-      }
-    }
+void MdGan::end_round(std::int64_t iter, double round_seconds) {
+  round_sim_s_.push_back(round_seconds);
+  iters_run_ = iter;
+  // The hook observes the server generator; worker roles hold only the
+  // stale initial copy, so they never fire it.
+  if (role_.runs_server() && *eval_hook_ && eval_every_ > 0 &&
+      (iter % eval_every_ == 0 || iter == total_iters_)) {
+    (*eval_hook_)(iter, g_);
   }
-  void on_join(int /*worker*/, std::int64_t /*iter*/) override {
-    // Nothing to restore: a rejoining worker kept its shard, RNG stream
-    // and any dormant discriminator; participants() picks them back up.
-  }
-  void on_readmit(int worker, std::int64_t iter) override {
-    md.readmit_worker(worker, iter);
-  }
-  ByteBuffer make_rejoin_state(int /*worker*/, std::int64_t iter) override {
-    return md.serialize_rejoin_state(iter);
-  }
-  std::vector<std::size_t> participants(
-      const std::vector<int>& present_workers) override {
-    return md.participating_discs(present_workers);
-  }
-  std::vector<int> feedback_senders(
-      const std::vector<std::size_t>& discs) override {
-    std::vector<int> out;
-    out.reserve(discs.size());
-    for (auto j : discs) out.push_back(md.discs_[j].holder);
-    return out;
-  }
-  void broadcast(const std::vector<std::size_t>& discs,
-                 std::size_t k_eff) override {
-    md.server_generate_and_send(discs, k_eff);
-  }
-  void local_work(const std::vector<std::size_t>& discs) override {
-    md.local_work(discs);
-  }
-  void fold_sync(std::vector<dist::Message>&& feedbacks,
-                 std::size_t k_eff) override {
-    md.server_fold_sync(std::move(feedbacks), k_eff);
-  }
-  void apply_async(dist::Message&& feedback, std::size_t staleness,
-                   std::size_t k_eff) override {
-    md.server_apply_async(std::move(feedback), staleness, k_eff);
-  }
-  void swap(std::int64_t /*iter*/,
-            const std::vector<int>& present_workers) override {
-    md.swap_discriminators(present_workers);
-  }
-  void end_round(std::int64_t iter, double round_seconds) override {
-    md.round_sim_s_.push_back(round_seconds);
-    md.iters_run_ = iter;
-    // The hook observes the server generator; worker roles hold only
-    // the stale initial copy, so they never fire it.
-    if (md.runs_server() && hook && eval_every > 0 &&
-        (iter % eval_every == 0 || iter == total_iters)) {
-      hook(iter, md.g_);
-    }
-  }
-};
+}
 
 void MdGan::train(std::int64_t iters, std::int64_t eval_every,
                   const gan::EvalHook& hook) {
@@ -793,8 +670,10 @@ void MdGan::train_from(std::int64_t first_iter, std::int64_t iters,
   if (cfg_.sink != nullptr && net_.sink() == nullptr) {
     net_.set_sink(cfg_.sink);
   }
-  EngineBridge bridge(*this, iters, eval_every, hook);
-  RoundEngine engine(net_, ec, bridge, availability_);
+  total_iters_ = iters;
+  eval_every_ = eval_every;
+  eval_hook_ = &hook;
+  RoundEngine engine(net_, ec, *this, availability_);
   engine.run(first_iter, iters - first_iter + 1);
   stale_dropped_ += engine.stale_dropped();
 }

@@ -128,12 +128,9 @@ struct MdGanConfig {
   float async_staleness_damping = 0.f;
   // §VII-2 feedback compression on the W->C link.
   dist::CompressionConfig feedback_compression;
-  // Churn-resilience budget for every blocking receive in the protocol
-  // (gen_batches, swaps): how many membership-epoch wakeups a receive
-  // survives, and an optional wall-clock ceiling across the retries
-  // (0 = unbounded). Exhaustion surfaces as std::runtime_error.
-  std::size_t recv_churn_retries = 64;
-  double recv_total_timeout_s = 0.0;
+  // Churn-resilience budget of every blocking receive in the protocol
+  // (gen_batches, swaps). Exhaustion surfaces as std::runtime_error.
+  RecvRetryPolicy recv_retry;
   // Simulated compute costs (seconds), layered on the SimNetwork's link
   // model via its virtual clock: per-worker cost of one local iteration
   // (L discriminator steps + feedback), and the server's cost of one
@@ -163,15 +160,15 @@ struct MdGanConfig {
 // clamped to [1, N]).
 std::size_t k_log_n(std::size_t n_workers);
 
-class MdGan {
+class MdGan : private RoundDelegate {
  public:
   // kInProcess: shards[n] is worker n+1's local dataset and must match
   // net.n_workers(). kServer: shards must be empty (the server holds no
   // data; set cfg.shard_size). kWorker: shards holds exactly the one
   // local shard. `availability` (optional) injects membership changes
-  // at iteration boundaries — a plain CrashSchedule is the fail-stop
-  // special case. The schedule is SPMD shared knowledge: role-split
-  // runs must hand every process the identical schedule.
+  // at iteration boundaries — a leave with no later rejoin is the
+  // fail-stop special case. The schedule is SPMD shared knowledge:
+  // role-split runs must hand every process the identical schedule.
   MdGan(gan::GanArch arch, MdGanConfig cfg,
         std::vector<data::InMemoryDataset> shards, std::uint64_t seed,
         dist::Transport& net,
@@ -256,11 +253,12 @@ class MdGan {
     data::InMemoryDataset shard;
     Rng rng;
   };
-  // RoundDelegate implementation binding the engine to this trainer,
-  // plus the train() call's eval context.
-  struct EngineBridge;
-
-  bool runs_server() const { return role_.runs_server(); }
+  // One decoded worker feedback F_n and the generated batch it answers.
+  struct Feedback {
+    int from;
+    std::uint32_t batch;
+    Tensor grad;
+  };
 
   // The sink's tracer when span recording is on, else nullptr.
   obs::Tracer* trace() const {
@@ -269,47 +267,65 @@ class MdGan {
     return t.enabled() ? &t : nullptr;
   }
 
+  // --- RoundDelegate ---------------------------------------------------
+  // A permanent leave kills the discriminators the worker hosts (a
+  // re-admission rebirths them); a temporary one leaves them dormant.
+  void on_leave(int worker, bool permanent, std::int64_t iter) override;
+  // Nothing to restore: a rejoining worker kept its shard, RNG stream
+  // and any dormant discriminator; participants() picks them back up.
+  void on_join(int /*worker*/, std::int64_t /*iter*/) override {}
+  // Re-admission: rebirth the discriminator(s) that died with `worker`
+  // and restart its sampling stream, both from (worker, round) —
+  // shared knowledge, so every role derives the identical state.
+  void on_readmit(int worker, std::int64_t round) override;
+  // Server side of the state transfer: the `!state` payload for a
+  // worker admitted at `round` (core/rejoin.hpp).
+  ByteBuffer make_rejoin_state(int worker, std::int64_t round) override;
   // Discriminators participating this round: hosted by a present
   // worker. A discriminator whose host the transport lost is pruned
   // (fail-stop: it dies with its host); one whose host is merely
   // scheduled absent stays dormant and is skipped.
-  std::vector<std::size_t> participating_discs(
-      const std::vector<int>& present_workers);
-
-  void server_generate_and_send(const std::vector<std::size_t>& discs,
-                                std::size_t k_eff);
-  // Worker-side phase of one round for the participants this process
-  // embodies (in-process: all of them, fanned out over the compute
-  // pool; kWorker: the ones this worker hosts; kServer: none).
-  void local_work(const std::vector<std::size_t>& discs);
-  void worker_iteration(std::size_t disc_index);
-  // Member shim over the free receive_resilient, with this config's
-  // retry policy.
-  std::optional<dist::Message> receive_resilient(int node,
-                                                 const std::string& tag,
-                                                 int sender);
-  // Re-admission (RoundDelegate::on_readmit): rebirth the
-  // discriminator(s) that died with `worker`, with parameters drawn
-  // deterministically from (seed, worker, round) — shared knowledge, so
-  // every role derives the identical fresh model — and reseed the
-  // worker's sampling stream from the same tuple so the restarted
-  // process and the surviving roles agree on its draws.
-  void readmit_worker(int worker, std::int64_t round);
-  // Server side of the state transfer: the `!state` payload for a
-  // worker admitted at `round` (core/rejoin.hpp).
-  ByteBuffer serialize_rejoin_state(std::int64_t round);
+  std::vector<std::size_t> participants(
+      const std::vector<int>& present_workers) override;
+  std::vector<int> feedback_senders(
+      const std::vector<std::size_t>& discs) override;
+  void broadcast(const std::vector<std::size_t>& discs,
+                 std::size_t k_eff) override;
+  // Worker-side phase of one round: one worker_iteration per
+  // participant whose holder this process hosts (NodeRole::hosts),
+  // fanned out over the compute pool when cfg.parallel_workers is set.
+  void local_work(const std::vector<std::size_t>& discs) override;
   // Sync server reduce: averages all feedbacks per batch, one Adam
   // step. Feedbacks are folded in sender order regardless of arrival
   // order, so the float accumulation is identical whether the transport
   // delivered them deterministically (SimNetwork) or raced over real
   // sockets (TcpNetwork).
-  void server_fold_sync(std::vector<dist::Message>&& feedbacks,
-                        std::size_t k_eff);
+  void fold_sync(std::vector<dist::Message>&& feedbacks,
+                 std::size_t k_eff) override;
   // Async server: one Adam step for this feedback, scaled by the
   // staleness damping.
-  void server_apply_async(dist::Message&& feedback, std::size_t staleness,
-                          std::size_t k_eff);
-  void swap_discriminators(const std::vector<int>& present_workers);
+  void apply_async(dist::Message&& feedback, std::size_t staleness,
+                   std::size_t k_eff) override;
+  // Gossip swap (§IV-C1) over the present workers: every process draws
+  // the same new holders, ships the discriminators it hosts and adopts
+  // the ones that land on a worker it hosts.
+  void swap(std::int64_t iter,
+            const std::vector<int>& present_workers) override;
+  // Records the round and fires the eval hook train_from() installed.
+  void end_round(std::int64_t iter, double round_seconds) override;
+
+  void worker_iteration(std::size_t disc_index);
+  // Reads a feedback's batch-id header (checked against k_eff), counts
+  // it when its sender was re-admitted by state transfer, and decodes
+  // F_n.
+  Feedback decode_feedback(dist::Message& msg, std::size_t k_eff);
+  // Replaces discriminator j with a FRESH model on `worker` (the old
+  // parameters died with the old incarnation), drawn from (seed,
+  // worker, admission round, j) with fresh Adam moments.
+  void rebirth(std::size_t j, int worker, std::int64_t round);
+  // Worker `worker`'s sampling stream: (seed, worker) from the start,
+  // restarted from (seed, worker, round) by a re-admission at `round`.
+  Rng sample_stream(int worker, std::int64_t round = 0) const;
 
   gan::GanArch arch_;
   MdGanConfig cfg_;
@@ -345,6 +361,13 @@ class MdGan {
   std::int64_t gen_updates_ = 0;
   std::int64_t stale_dropped_ = 0;
   std::vector<double> round_sim_s_;  // per completed round, seconds
+  // local_work's participants hosted here; reused across rounds.
+  std::vector<int> hosted_;
+  // The running train_from() call's eval context; the hook is that
+  // call's argument, so end_round() reads it only inside the call.
+  std::int64_t total_iters_ = 0;
+  std::int64_t eval_every_ = 0;
+  const gan::EvalHook* eval_hook_ = nullptr;
 
   // Cached instruments (null when cfg_.sink is null).
   obs::Counter* gen_updates_total_ = nullptr;

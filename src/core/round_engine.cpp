@@ -119,15 +119,7 @@ void RoundEngine::harvest_readmissions(std::int64_t iter) {
     // round. Grants covered by a scheduled crash-rejoin are left for
     // the schedule's own readmit (SPMD shared knowledge already pins
     // that admission round everywhere).
-    for (int w : net_.take_rejoin_grants()) {
-      if (w < 1 || w > static_cast<int>(net_.n_workers())) continue;
-      if (availability_ != nullptr &&
-          availability_->within_crash_rejoin(w, iter)) {
-        continue;
-      }
-      stage_readmission(w, iter + 1, iter);
-      net_.announce_admission(w, iter + 1);
-    }
+    drain_rejoin_grants(iter);
     return;
   }
   // Worker roles learn admissions from the server's `!admit` broadcast,
@@ -143,6 +135,20 @@ void RoundEngine::harvest_readmissions(std::int64_t iter) {
       continue;
     }
     stage_readmission(a.worker, a.round, iter);
+  }
+}
+
+void RoundEngine::drain_rejoin_grants(std::int64_t iter, int owned) {
+  for (int w : net_.take_rejoin_grants()) {
+    if (w == owned || w < 1 || w > static_cast<int>(net_.n_workers())) {
+      continue;
+    }
+    if (availability_ != nullptr &&
+        availability_->within_crash_rejoin(w, iter)) {
+      continue;
+    }
+    stage_readmission(w, iter + 1, iter);
+    net_.announce_admission(w, iter + 1);
   }
 }
 
@@ -203,17 +209,7 @@ bool RoundEngine::process_membership(std::int64_t iter) {
           // transport grant; absorb it — the schedule owns this
           // admission. Grants for OTHER workers that happened to land
           // in the same drain are unscheduled and staged normally.
-          for (int g : net_.take_rejoin_grants()) {
-            if (g == w || g < 1 || g > static_cast<int>(net_.n_workers())) {
-              continue;
-            }
-            if (availability_ != nullptr &&
-                availability_->within_crash_rejoin(g, iter)) {
-              continue;
-            }
-            stage_readmission(g, iter + 1, iter);
-            net_.announce_admission(g, iter + 1);
-          }
+          drain_rejoin_grants(iter, /*owned=*/w);
         }
         continue;
       }
@@ -245,7 +241,7 @@ bool RoundEngine::process_membership(std::int64_t iter) {
     }
     if (permanent && alive && cfg_.role.kind == NodeRole::Kind::kInProcess) {
       // Scheduled fail-stop, in-process: the transport itself crashes
-      // the worker — the old CrashSchedule path, reproduced exactly.
+      // the worker, exactly as a real crash would drop it.
       net_.crash(w);
       MDGAN_LOG_INFO << "iteration " << iter << ": worker " << w
                      << " crashed (fail-stop), "

@@ -11,17 +11,16 @@
 //   kMembership  Transport::begin_iteration, then membership events:
 //                scheduled leave/rejoin transitions from the
 //                AvailabilitySchedule (a leave with no later rejoin is
-//                fail-stop and, in-process, calls Transport::crash so a
-//                pure-crash schedule reproduces the old CrashSchedule
-//                path bit-for-bit) and transport-level goodbyes (a
-//                dropped TCP connection). Each transition is handed to
-//                the delegate (on_join / on_leave).
+//                fail-stop and, in-process, calls Transport::crash, so
+//                the transport drops the worker exactly as a real crash
+//                would) and transport-level goodbyes (a dropped TCP
+//                connection). Each transition is handed to the delegate
+//                (on_join / on_leave).
 //   kBroadcast   server roles hand the round's participants to the
 //                delegate, which generates and sends the batches.
 //   kLocal       worker-side work: every participating discriminator
-//                trains and ships its feedback (in-process: fanned out
-//                over the compute pool; a worker role runs only the
-//                discriminators it hosts).
+//                whose holder this process hosts (NodeRole::hosts)
+//                trains and ships its feedback.
 //   kCollect     the server-side receive loop. It consumes the round's
 //                (sender, seq)-ordered feedback messages and dispatches
 //                by ServerMode policy:
@@ -78,6 +77,12 @@ struct NodeRole {
   static NodeRole worker(int id) { return {Kind::kWorker, id}; }
 
   bool runs_server() const { return kind != Kind::kWorker; }
+  // Does this process embody worker `w` (1-based)? Every worker
+  // in-process, its own id on kWorker, none on kServer.
+  bool hosts(int w) const {
+    return kind == Kind::kInProcess ||
+           (kind == Kind::kWorker && w == worker_id);
+  }
 };
 
 // Server policy for the collect phase (§VII-1 of the paper).
@@ -226,6 +231,11 @@ class RoundEngine {
   // iter + 1 and announcing that round) / admission broadcasts (worker
   // roles, at the server's announced round) into pending_readmit_.
   void harvest_readmissions(std::int64_t iter);
+  // Server roles: stages every drained rejoin grant for admission at
+  // iter + 1 and announces that round. Skips `owned` (a worker whose
+  // grant this boundary's scheduled readmit absorbs) and grants that a
+  // scheduled crash-rejoin covers.
+  void drain_rejoin_grants(std::int64_t iter, int owned = 0);
   // Stages `w` for re-admission at round `admit_at`. If w was never
   // marked lost — its death and restart both fell inside one round
   // window, so no boundary observed it dead — the grant itself is the

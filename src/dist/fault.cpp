@@ -18,6 +18,24 @@ void check_transition(std::int64_t iter, int worker) {
 
 }  // namespace
 
+AvailabilitySchedule AvailabilitySchedule::evenly_spaced_crashes(
+    std::int64_t total_iters, std::size_t n_workers) {
+  if (total_iters < 1) {
+    throw std::invalid_argument("AvailabilitySchedule: total_iters < 1");
+  }
+  if (n_workers == 0) {
+    throw std::invalid_argument("AvailabilitySchedule: n_workers == 0");
+  }
+  const std::int64_t period =
+      std::max<std::int64_t>(1, total_iters / static_cast<std::int64_t>(
+                                                  n_workers));
+  AvailabilitySchedule s;
+  for (std::size_t w = 1; w <= n_workers; ++w) {
+    s.add_leave(period * static_cast<std::int64_t>(w), static_cast<int>(w));
+  }
+  return s;
+}
+
 void AvailabilitySchedule::add_leave(std::int64_t iter, int worker) {
   check_transition(iter, worker);
   transitions_[worker][iter] = false;
@@ -102,59 +120,6 @@ bool AvailabilitySchedule::returns_after(int worker,
     prev = next->first;
   }
   return state;  // final state holds for every iteration > prev
-}
-
-std::vector<AvailabilitySchedule::Event> AvailabilitySchedule::events_at(
-    std::int64_t iter) const {
-  std::vector<Event> out;
-  for (const auto& [worker, t] : transitions_) {
-    const auto at = t.find(iter);
-    if (at == t.end()) continue;
-    if (present(worker, iter - 1) == at->second) continue;  // no change
-    out.push_back({worker, at->second});
-  }
-  return out;  // transitions_ is ordered by worker id
-}
-
-std::size_t AvailabilitySchedule::size() const {
-  std::size_t n = 0;
-  for (const auto& [worker, t] : transitions_) n += t.size();
-  return n;
-}
-
-bool AvailabilitySchedule::fail_stop_only() const {
-  for (const auto& [worker, t] : transitions_) {
-    for (const auto& [iter, join] : t) {
-      if (join) return false;
-    }
-  }
-  return true;
-}
-
-std::vector<int> CrashSchedule::crashes_at(std::int64_t iter) const {
-  std::vector<int> out;
-  for (const Event& e : events_at(iter)) {
-    if (!e.join) out.push_back(e.worker);
-  }
-  return out;
-}
-
-CrashSchedule CrashSchedule::evenly_spaced(std::int64_t total_iters,
-                                           std::size_t n_workers) {
-  if (total_iters < 1) {
-    throw std::invalid_argument("CrashSchedule: total_iters < 1");
-  }
-  if (n_workers == 0) {
-    throw std::invalid_argument("CrashSchedule: n_workers == 0");
-  }
-  const std::int64_t period =
-      std::max<std::int64_t>(1, total_iters / static_cast<std::int64_t>(
-                                                  n_workers));
-  CrashSchedule s;
-  for (std::size_t w = 1; w <= n_workers; ++w) {
-    s.add(period * static_cast<std::int64_t>(w), static_cast<int>(w));
-  }
-  return s;
 }
 
 }  // namespace mdgan::dist

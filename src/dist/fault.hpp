@@ -3,8 +3,7 @@
 // leave at one iteration boundary and rejoin at a later one (the
 // temporary/elastic discriminators of Qu et al., 2020), or leave and
 // never return — which is exactly a fail-stop crash (paper §V,
-// Figure 5). CrashSchedule below is that special case, kept as a
-// subclass so crash-only call sites read as before.
+// Figure 5); evenly_spaced_crashes builds that figure's schedule.
 //
 // The schedule is *deterministic shared knowledge*: every node of a
 // role-split run constructs the identical schedule from its flags and
@@ -27,20 +26,20 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <vector>
 
 namespace mdgan::dist {
 
 class AvailabilitySchedule {
  public:
-  // A membership transition at an iteration boundary.
-  struct Event {
-    int worker = 0;
-    bool join = false;  // false: the worker leaves at this iteration
-  };
-
-  AvailabilitySchedule() = default;
-  virtual ~AvailabilitySchedule() = default;
+  // The Figure 5 schedule: one fail-stop crash every
+  // total_iters / n_workers iterations (period clamped to >= 1),
+  // workers dying in id order at iterations period, 2*period, ... When
+  // n_workers divides total_iters the last crash lands exactly on the
+  // final iteration; otherwise the tail crashes are scheduled past
+  // iteration total_iters and a run of exactly that length leaves those
+  // workers alive.
+  static AvailabilitySchedule evenly_spaced_crashes(std::int64_t total_iters,
+                                                    std::size_t n_workers);
 
   // Worker `worker` (1-based) is absent from the start of iteration
   // `iter` on (until a later rejoin, if any).
@@ -66,10 +65,6 @@ class AvailabilitySchedule {
   // Is the worker scheduled present at any iteration > `iter`? False
   // for a permanently-departed worker — the fail-stop test.
   bool returns_after(int worker, std::int64_t iter) const;
-  // Transitions that take effect at `iter` (ascending worker id). Only
-  // actual state changes are reported: a rejoin of a present worker or
-  // a second leave of an absent one is not an event.
-  std::vector<Event> events_at(std::int64_t iter) const;
 
   // Does worker's scheduled leave at `iter` lose its state (a
   // crash-rejoin departure)? Only true exactly at the leave iteration.
@@ -86,13 +81,6 @@ class AvailabilitySchedule {
   // absorbs it) versus an unscheduled restart it must admit itself.
   bool within_crash_rejoin(int worker, std::int64_t iter) const;
 
-  bool empty() const { return transitions_.empty(); }
-  // Number of scheduled transitions.
-  std::size_t size() const;
-  // True when no worker ever rejoins — the schedule is pure fail-stop
-  // and equivalent to a CrashSchedule.
-  bool fail_stop_only() const;
-
  private:
   // Per worker: iteration -> present from that iteration on. Absent
   // keys inherit the previous state; before the first key a worker is
@@ -102,31 +90,6 @@ class AvailabilitySchedule {
   // these are ordinary absences (mirrored in transitions_); this map
   // marks which boundaries lose / re-transfer state.
   std::map<int, std::map<std::int64_t, std::int64_t>> crash_rejoins_;
-};
-
-// Fail-stop fault injection (paper §V, Figure 5): every departure is
-// permanent — the paper's model has no recovery. Kept as the crash-only
-// view of an AvailabilitySchedule so existing call sites (and the
-// Figure 5 bench) read unchanged.
-class CrashSchedule : public AvailabilitySchedule {
- public:
-  CrashSchedule() = default;
-
-  // Worker `worker` (1-based) dies at the start of iteration `iter`.
-  void add(std::int64_t iter, int worker) { add_leave(iter, worker); }
-
-  // Workers scheduled to die at `iter` (empty if none).
-  std::vector<int> crashes_at(std::int64_t iter) const;
-
-  // The Figure 5 schedule: one crash every total_iters / n_workers
-  // iterations (period clamped to >= 1), workers dying in id order at
-  // iterations period, 2*period, ... When n_workers divides
-  // total_iters the last crash lands exactly on the final iteration;
-  // otherwise the tail crashes are scheduled past iteration
-  // total_iters and a run of exactly that length leaves those workers
-  // alive.
-  static CrashSchedule evenly_spaced(std::int64_t total_iters,
-                                     std::size_t n_workers);
 };
 
 }  // namespace mdgan::dist

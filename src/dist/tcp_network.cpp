@@ -43,9 +43,7 @@ TcpNetwork::TcpNetwork(int local, std::size_t n_workers, Options opts)
     : local_(local),
       n_workers_(n_workers),
       opts_(opts),
-      liveness_(n_workers, LivenessConfig{opts.heartbeat_interval_s,
-                                          opts.suspect_after_s,
-                                          opts.grace_s}) {
+      liveness_(n_workers, opts.liveness) {
   if (n_workers_ == 0) {
     throw std::invalid_argument("TcpNetwork: need at least one worker");
   }

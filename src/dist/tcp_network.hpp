@@ -111,17 +111,12 @@ struct TcpOptions {
   // trips first.
   int dial_retries = 100;
   double dial_backoff_ms = 25.0;
-  // Heartbeats (server endpoint): `!ping` every heartbeat_interval_s,
-  // timed by the event loop; 0 (default) disables them and with them the
-  // suspect machinery — liveness then only reacts to connection drops,
-  // the pre-liveness behavior. A worker silent for suspect_after_s is
-  // SUSPECTED (logged + counted, nothing evicted; the engine degrades
-  // exactly as it does for a slow worker); silent for a further grace_s
-  // it is declared dead and evicted through the normal !death path. Any
-  // frame from a suspect re-seats it with no epoch change.
-  double heartbeat_interval_s = 0.0;
-  double suspect_after_s = 2.0;
-  double grace_s = 8.0;
+  // Heartbeats and the suspect -> grace -> dead state machine (server
+  // endpoint; dist/liveness.hpp): `!ping` every heartbeat_interval_s,
+  // timed by the event loop. Off by default. A dead verdict evicts the
+  // worker through the normal !death path; any frame from a suspect
+  // re-seats it with no epoch change.
+  LivenessConfig liveness;
   // Bound of the per-connection send queue (frames). A frame the socket
   // does not take at once waits here for the event loop to drain it; a
   // full queue blocks the producer (backpressure, observed by the

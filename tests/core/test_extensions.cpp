@@ -195,8 +195,8 @@ TEST(SparseMdGan, VisitsMultipleWorkersOverTime) {
 
 TEST(SparseMdGan, DiscDiesWithItsHost) {
   dist::SimNetwork net(3);
-  dist::CrashSchedule crashes;
-  crashes.add(2, 1);  // worker 1 hosts disc 0 initially
+  dist::AvailabilitySchedule crashes;
+  crashes.add_leave(2, 1);  // worker 1 hosts disc 0 initially
   MdGanConfig cfg = base_cfg();
   cfg.n_discriminators = 2;
   cfg.swap_enabled = false;  // holders stay put -> disc 0 dies at iter 2

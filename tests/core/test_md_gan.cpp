@@ -160,8 +160,8 @@ TEST(MdGan, NoSwapWithSingleWorker) {
 TEST(MdGan, CrashRemovesWorkerAndTrainingContinues) {
   const std::size_t n = 3;
   dist::SimNetwork net(n);
-  dist::CrashSchedule crashes;
-  crashes.add(2, 1);
+  dist::AvailabilitySchedule crashes;
+  crashes.add_leave(2, 1);
   MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), tiny_cfg(),
            shards_for(n, 16, 8), 29, net, &crashes);
   md.train(4);
@@ -173,9 +173,9 @@ TEST(MdGan, CrashRemovesWorkerAndTrainingContinues) {
 TEST(MdGan, StopsWhenAllWorkersCrashed) {
   const std::size_t n = 2;
   dist::SimNetwork net(n);
-  dist::CrashSchedule crashes;
-  crashes.add(2, 1);
-  crashes.add(3, 2);
+  dist::AvailabilitySchedule crashes;
+  crashes.add_leave(2, 1);
+  crashes.add_leave(3, 2);
   MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), tiny_cfg(),
            shards_for(n, 16, 9), 31, net, &crashes);
   md.train(10);
@@ -187,8 +187,8 @@ TEST(MdGan, KEffectiveShrinksWithCrashes) {
   // run still proceeds (regression guard for k > alive).
   const std::size_t n = 2;
   dist::SimNetwork net(n);
-  dist::CrashSchedule crashes;
-  crashes.add(2, 2);
+  dist::AvailabilitySchedule crashes;
+  crashes.add_leave(2, 2);
   MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), tiny_cfg(2),
            shards_for(n, 16, 10), 37, net, &crashes);
   md.train(4);

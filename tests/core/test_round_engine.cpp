@@ -153,7 +153,7 @@ TEST(RoundEngine, PermanentLeaveCrashesInProcess) {
   RoundEngine engine(net, cfg, d, &sched);
   EXPECT_EQ(engine.run(1, 3), 3);
   EXPECT_EQ(d.leaves, (std::vector<std::pair<int, bool>>{{1, true}}));
-  EXPECT_FALSE(net.is_alive(1));  // the old CrashSchedule path
+  EXPECT_FALSE(net.is_alive(1));  // the transport crashed it
   EXPECT_EQ(engine.present_workers(), (std::vector<int>{2}));
 }
 

@@ -1,6 +1,6 @@
 // AvailabilitySchedule semantics (join/leave/rejoin intervals,
 // fail-stop as the no-rejoin special case) and their effect on MD-GAN
-// training: CrashSchedule equivalence, deterministic leave/rejoin runs,
+// training: fail-stop equivalence, deterministic leave/rejoin runs,
 // dormant discriminators, and the swap replay skipping absent workers.
 #include "dist/fault.hpp"
 
@@ -16,14 +16,9 @@
 namespace mdgan::dist {
 namespace {
 
-using Event = AvailabilitySchedule::Event;
-
 TEST(AvailabilitySchedule, PresenceFollowsLeaveAndRejoin) {
   AvailabilitySchedule s;
-  EXPECT_TRUE(s.empty());
   s.add_absence(/*worker=*/2, /*from=*/3, /*until=*/5);
-  EXPECT_FALSE(s.empty());
-  EXPECT_EQ(s.size(), 2u);
   EXPECT_TRUE(s.present(2, 1));
   EXPECT_TRUE(s.present(2, 2));
   EXPECT_FALSE(s.present(2, 3));
@@ -41,11 +36,13 @@ TEST(AvailabilitySchedule, PermanentLeaveNeverReturns) {
   EXPECT_FALSE(s.present(1, 4));
   EXPECT_FALSE(s.returns_after(1, 4));
   EXPECT_TRUE(s.returns_after(1, 2));  // still present at iteration 3
-  EXPECT_TRUE(s.fail_stop_only());
+  // Another worker's leave is a separate fail-stop.
+  s.add_leave(3, 2);
+  EXPECT_FALSE(s.present(2, 3));
+  EXPECT_FALSE(s.returns_after(2, 3));
 
   s.add_rejoin(9, 1);
   EXPECT_TRUE(s.returns_after(1, 4));
-  EXPECT_FALSE(s.fail_stop_only());
 }
 
 TEST(AvailabilitySchedule, ReturnsAfterSeesGapsBetweenAbsences) {
@@ -63,23 +60,6 @@ TEST(AvailabilitySchedule, ReturnsAfterSeesGapsBetweenAbsences) {
   EXPECT_FALSE(tight.returns_after(1, 1));
 }
 
-TEST(AvailabilitySchedule, EventsReportOnlyRealTransitions) {
-  AvailabilitySchedule s;
-  s.add_absence(1, 2, 4);
-  s.add_leave(/*iter=*/3, /*worker=*/2);
-  EXPECT_EQ(s.events_at(2).size(), 1u);
-  EXPECT_EQ(s.events_at(2)[0].worker, 1);
-  EXPECT_FALSE(s.events_at(2)[0].join);
-  EXPECT_EQ(s.events_at(4).size(), 1u);
-  EXPECT_TRUE(s.events_at(4)[0].join);
-  EXPECT_EQ(s.events_at(3).size(), 1u);  // worker 2's leave
-  EXPECT_TRUE(s.events_at(5).empty());
-  // A rejoin of a never-absent worker is not a transition.
-  AvailabilitySchedule noop;
-  noop.add_rejoin(3, 1);
-  EXPECT_TRUE(noop.events_at(3).empty());
-}
-
 TEST(AvailabilitySchedule, ValidatesArguments) {
   AvailabilitySchedule s;
   EXPECT_THROW(s.add_leave(0, 1), std::invalid_argument);
@@ -95,7 +75,6 @@ TEST(AvailabilitySchedule, CrashRejoinMarksStateLossAndTransfer) {
   EXPECT_FALSE(s.present(2, 3));
   EXPECT_FALSE(s.present(2, 4));
   EXPECT_TRUE(s.present(2, 5));
-  EXPECT_FALSE(s.fail_stop_only());
   // ...but the leave destroys the worker's state and the rejoin is a
   // state-transfer re-admission, both visible only at their exact
   // iterations.
@@ -123,19 +102,23 @@ TEST(AvailabilitySchedule, CrashRejoinValidatesWindow) {
   EXPECT_THROW(s.add_crash_rejoin(1, 3, 0), std::invalid_argument);
 }
 
-TEST(AvailabilitySchedule, CrashScheduleIsTheFailStopSpecialCase) {
-  CrashSchedule crashes;
-  crashes.add(3, 1);
-  crashes.add(5, 2);
-  EXPECT_TRUE(crashes.fail_stop_only());
-  EXPECT_FALSE(crashes.present(1, 3));
-  EXPECT_FALSE(crashes.returns_after(1, 3));
-  EXPECT_EQ(crashes.crashes_at(3), (std::vector<int>{1}));
-  // The base-class view is identical: a CrashSchedule *is* an
-  // AvailabilitySchedule whose every leave is permanent.
-  const AvailabilitySchedule& base = crashes;
-  EXPECT_EQ(base.events_at(5).size(), 1u);
-  EXPECT_FALSE(base.events_at(5)[0].join);
+TEST(AvailabilitySchedule, EvenlySpacedCrashesKillEveryoneByTheEnd) {
+  const auto s = AvailabilitySchedule::evenly_spaced_crashes(60, 3);
+  // Workers fail-stop in id order at iterations 20, 40 and 60.
+  for (int w = 1; w <= 3; ++w) {
+    EXPECT_TRUE(s.present(w, 20 * w - 1));
+    EXPECT_FALSE(s.present(w, 20 * w));
+    EXPECT_FALSE(s.returns_after(w, 20 * w));
+  }
+  // Shorter run than workers: period clamps to one per iteration.
+  const auto fast = AvailabilitySchedule::evenly_spaced_crashes(2, 4);
+  EXPECT_FALSE(fast.present(1, 1));
+  EXPECT_TRUE(fast.present(4, 3));
+  EXPECT_FALSE(fast.present(4, 4));
+  EXPECT_THROW(AvailabilitySchedule::evenly_spaced_crashes(0, 3),
+               std::invalid_argument);
+  EXPECT_THROW(AvailabilitySchedule::evenly_spaced_crashes(60, 0),
+               std::invalid_argument);
 }
 
 // --- MD-GAN under availability schedules --------------------------------
@@ -157,7 +140,7 @@ std::vector<data::InMemoryDataset> shards_for(std::size_t n_workers,
   return data::split_iid(full, n_workers, rng);
 }
 
-TEST(MdGanAvailability, FailStopScheduleMatchesCrashScheduleBitForBit) {
+TEST(MdGanAvailability, OpenEndedAbsenceMatchesLeaveBitForBit) {
   auto run = [](const AvailabilitySchedule& sched) {
     dist::SimNetwork net(3);
     core::MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), tiny_cfg(),
@@ -169,12 +152,12 @@ TEST(MdGanAvailability, FailStopScheduleMatchesCrashScheduleBitForBit) {
                            net.totals(LinkKind::kWorkerToWorker).bytes,
                            net.alive_worker_count());
   };
-  CrashSchedule crashes;
-  crashes.add(2, 1);
-  AvailabilitySchedule leaves;
-  leaves.add_leave(2, 1);  // no rejoin: the same fail-stop
-  EXPECT_EQ(run(crashes), run(leaves));
-  EXPECT_EQ(std::get<4>(run(crashes)), 2u);
+  AvailabilitySchedule absence;
+  absence.add_absence(/*worker=*/1, /*from=*/2);  // no `until`: fail-stop
+  AvailabilitySchedule leave;
+  leave.add_leave(2, 1);
+  EXPECT_EQ(run(absence), run(leave));
+  EXPECT_EQ(std::get<4>(run(absence)), 2u);  // the transport crashed it
 }
 
 TEST(MdGanAvailability, LeaveRejoinIsDeterministicAndFinite) {

@@ -220,32 +220,6 @@ TEST(Network, CrashBumpsMembershipEpochOncePerDeath) {
   EXPECT_EQ(net.membership_epoch(), 2u);
 }
 
-TEST(CrashSchedule, AddAndQuery) {
-  CrashSchedule s;
-  EXPECT_TRUE(s.empty());
-  s.add(3, 1);
-  s.add(3, 2);
-  s.add(7, 3);
-  EXPECT_EQ(s.size(), 3u);
-  EXPECT_EQ(s.crashes_at(3), (std::vector<int>{1, 2}));
-  EXPECT_EQ(s.crashes_at(7), (std::vector<int>{3}));
-  EXPECT_TRUE(s.crashes_at(4).empty());
-  EXPECT_THROW(s.add(0, 1), std::invalid_argument);
-  EXPECT_THROW(s.add(1, 0), std::invalid_argument);
-}
-
-TEST(CrashSchedule, EvenlySpacedKillsEveryoneByTheEnd) {
-  const auto s = CrashSchedule::evenly_spaced(60, 3);
-  EXPECT_EQ(s.size(), 3u);
-  EXPECT_EQ(s.crashes_at(20), (std::vector<int>{1}));
-  EXPECT_EQ(s.crashes_at(40), (std::vector<int>{2}));
-  EXPECT_EQ(s.crashes_at(60), (std::vector<int>{3}));
-  // Shorter run than workers: period clamps to one per iteration.
-  const auto fast = CrashSchedule::evenly_spaced(2, 4);
-  EXPECT_EQ(fast.crashes_at(1), (std::vector<int>{1}));
-  EXPECT_EQ(fast.crashes_at(4), (std::vector<int>{4}));
-}
-
 TEST(ForEachWorker, SequentialPreservesOrder) {
   std::vector<int> seen;
   for_each_worker({3, 1, 2}, [&](int id) { seen.push_back(id); },

@@ -56,6 +56,65 @@ bool eventually(const std::function<bool()>& pred, double timeout_s = 10.0) {
   return pred();
 }
 
+// Trains MD-GAN as real endpoints over 127.0.0.1: the server role on
+// `server` plus one worker role per shard, each on its own thread, all
+// under the same config, seed and schedule. Returns the server's final
+// generator.
+std::vector<float> train_over_tcp(
+    TcpNetwork& server, const gan::GanArch& arch,
+    const core::MdGanConfig& cfg,
+    const std::vector<data::InMemoryDataset>& shards, std::uint64_t seed,
+    std::int64_t iters, const AvailabilitySchedule* sched = nullptr) {
+  const std::size_t n_workers = shards.size();
+  const auto port = server.port();
+  std::vector<float> got;
+  std::vector<std::string> errors(n_workers + 1);
+  std::thread server_thread([&] {
+    try {
+      core::MdGanConfig scfg = cfg;
+      scfg.shard_size = shards[0].size();  // no shard to derive it from
+      core::MdGan md(arch, scfg, {}, seed, server, sched,
+                     core::NodeRole::server());
+      md.train(iters);
+      got = md.generator().flatten_parameters();
+    } catch (const std::exception& e) {
+      errors[0] = e.what();
+    }
+  });
+  std::vector<std::thread> worker_threads;
+  for (std::size_t w = 1; w <= n_workers; ++w) {
+    worker_threads.emplace_back([&, w] {
+      try {
+        auto net = TcpNetwork::connect("127.0.0.1", port,
+                                       static_cast<int>(w), n_workers,
+                                       fast_opts());
+        core::MdGan md(arch, cfg, {shards[w - 1]}, seed, *net, sched,
+                       core::NodeRole::worker(static_cast<int>(w)));
+        md.train(iters);
+      } catch (const std::exception& e) {
+        errors[w] = e.what();
+      }
+    });
+  }
+  server_thread.join();
+  for (auto& t : worker_threads) t.join();
+  for (std::size_t i = 0; i < errors.size(); ++i) {
+    EXPECT_TRUE(errors[i].empty()) << "role " << i << ": " << errors[i];
+  }
+  return got;
+}
+
+// The server endpoint observes all three link classes (it relays
+// worker->worker), so its totals must equal the simulator's global
+// ones, message for message.
+void expect_same_ledger(const TcpNetwork& server, const SimNetwork& sim) {
+  for (auto kind : {LinkKind::kServerToWorker, LinkKind::kWorkerToServer,
+                    LinkKind::kWorkerToWorker}) {
+    EXPECT_EQ(server.totals(kind).bytes, sim.totals(kind).bytes);
+    EXPECT_EQ(server.totals(kind).messages, sim.totals(kind).messages);
+  }
+}
+
 TEST(TcpNetwork, LoopbackRoutingOrderingAndAccounting) {
   auto server = TcpNetwork::serve(0, 2, fast_opts());
   auto w1 = TcpNetwork::connect("127.0.0.1", server->port(), 1, 2,
@@ -223,53 +282,9 @@ TEST(TcpMdGan, LoopbackRunMatchesSimulatorBitForBit) {
 
   // Real thing: three endpoints, three roles, one loopback.
   auto server = TcpNetwork::serve(0, n_workers, fast_opts());
-  const auto port = server->port();
-  std::vector<float> got;
-  std::vector<std::string> errors(3);
-  std::thread server_thread([&] {
-    try {
-      core::MdGanConfig scfg = cfg;
-      scfg.shard_size = per_shard;  // no shard to derive it from
-      core::MdGan md(arch, scfg, {}, seed, *server, nullptr,
-                     core::NodeRole::server());
-      md.train(iters);
-      got = md.generator().flatten_parameters();
-    } catch (const std::exception& e) {
-      errors[0] = e.what();
-    }
-  });
-  std::vector<std::thread> worker_threads;
-  for (std::size_t w = 1; w <= n_workers; ++w) {
-    worker_threads.emplace_back([&, w] {
-      try {
-        auto net = TcpNetwork::connect("127.0.0.1", port,
-                                       static_cast<int>(w), n_workers,
-                                       fast_opts());
-        core::MdGan md(arch, cfg, {shards[w - 1]}, seed, *net, nullptr,
-                       core::NodeRole::worker(static_cast<int>(w)));
-        md.train(iters);
-      } catch (const std::exception& e) {
-        errors[w] = e.what();
-      }
-    });
-  }
-  server_thread.join();
-  for (auto& t : worker_threads) t.join();
-  for (std::size_t i = 0; i < errors.size(); ++i) {
-    EXPECT_TRUE(errors[i].empty()) << "role " << i << ": " << errors[i];
-  }
-
-  // Bit-identical generator weights...
-  EXPECT_EQ(got, want);
-
-  // ...and an identical wire ledger: the server endpoint observes all
-  // three link classes (it relays worker->worker), so its totals must
-  // equal the simulator's global ones, message for message.
-  for (auto kind : {LinkKind::kServerToWorker, LinkKind::kWorkerToServer,
-                    LinkKind::kWorkerToWorker}) {
-    EXPECT_EQ(server->totals(kind).bytes, sim.totals(kind).bytes);
-    EXPECT_EQ(server->totals(kind).messages, sim.totals(kind).messages);
-  }
+  // Bit-identical generator weights and an identical wire ledger.
+  EXPECT_EQ(train_over_tcp(*server, arch, cfg, shards, seed, iters), want);
+  expect_same_ledger(*server, sim);
   EXPECT_EQ(server->max_ingress_per_iteration(kServerId),
             sim.max_ingress_per_iteration(kServerId));
   EXPECT_GT(server->totals(LinkKind::kWorkerToWorker).bytes, 0u)
@@ -311,50 +326,54 @@ TEST(TcpMdGan, LeaveAndRejoinCompletesAndMatchesSimulator) {
   for (float v : want) ASSERT_TRUE(std::isfinite(v));
 
   auto server = TcpNetwork::serve(0, n_workers, fast_opts());
-  const auto port = server->port();
-  std::vector<float> got;
-  std::vector<std::string> errors(3);
-  std::thread server_thread([&] {
-    try {
-      core::MdGanConfig scfg = cfg;
-      scfg.shard_size = per_shard;
-      core::MdGan md(arch, scfg, {}, seed, *server, &sched,
-                     core::NodeRole::server());
-      md.train(iters);
-      got = md.generator().flatten_parameters();
-    } catch (const std::exception& e) {
-      errors[0] = e.what();
-    }
-  });
-  std::vector<std::thread> worker_threads;
-  for (std::size_t w = 1; w <= n_workers; ++w) {
-    worker_threads.emplace_back([&, w] {
-      try {
-        auto net = TcpNetwork::connect("127.0.0.1", port,
-                                       static_cast<int>(w), n_workers,
-                                       fast_opts());
-        core::MdGan md(arch, cfg, {shards[w - 1]}, seed, *net, &sched,
-                       core::NodeRole::worker(static_cast<int>(w)));
-        md.train(iters);
-      } catch (const std::exception& e) {
-        errors[w] = e.what();
-      }
-    });
-  }
-  server_thread.join();
-  for (auto& t : worker_threads) t.join();
-  for (std::size_t i = 0; i < errors.size(); ++i) {
-    EXPECT_TRUE(errors[i].empty()) << "role " << i << ": " << errors[i];
-  }
-
-  EXPECT_EQ(got, want);
-  for (auto kind : {LinkKind::kServerToWorker, LinkKind::kWorkerToServer,
-                    LinkKind::kWorkerToWorker}) {
-    EXPECT_EQ(server->totals(kind).bytes, sim.totals(kind).bytes);
-    EXPECT_EQ(server->totals(kind).messages, sim.totals(kind).messages);
-  }
+  EXPECT_EQ(train_over_tcp(*server, arch, cfg, shards, seed, iters, &sched),
+            want);
+  expect_same_ledger(*server, sim);
   EXPECT_GT(server->totals(LinkKind::kWorkerToWorker).bytes, 0u)
       << "the post-rejoin swap should have crossed the relay";
+}
+
+// The §VII-4 sparse mode on role-split endpoints: two discriminators
+// for three workers, so worker 3 starts with none, and a swap that
+// moves one onto it adopts on a process that hosted nothing. Shard 16
+// at batch 8 swaps every 2 rounds, three times in 6 rounds.
+TEST(TcpMdGan, SparseDiscriminatorsMatchSimulator) {
+  const std::uint64_t seed = 41;
+  const std::size_t n_workers = 3, per_shard = 16;
+  const std::int64_t iters = 6;
+  const auto arch = gan::make_arch(gan::ArchKind::kMlpMnist);
+  core::MdGanConfig cfg;
+  cfg.hp.batch = 8;
+  cfg.hp.disc_steps = 1;
+  cfg.k = 2;
+  cfg.epochs_per_swap = 1;
+  cfg.n_discriminators = 2;
+  cfg.parallel_workers = false;
+
+  auto full = data::make_synthetic_digits(n_workers * per_shard, seed);
+  Rng split_rng(seed);
+  const auto shards = data::split_iid(full, n_workers, split_rng);
+
+  SimNetwork sim(n_workers);
+  core::MdGan reference(arch, cfg, shards, seed, sim);
+  bool reached_worker_3 = false;
+  reference.train(iters, /*eval_every=*/1,
+                  [&](std::int64_t, nn::Sequential&) {
+                    for (std::size_t j = 0; j < 2; ++j) {
+                      reached_worker_3 |= reference.holder_of(j) == 3;
+                    }
+                  });
+  ASSERT_TRUE(reached_worker_3)
+      << "no swap moved a discriminator onto worker 3";
+
+  // The server's holder_of() is not compared: the workers exit right
+  // after their last swap, so the server's bookkeeping-only replay of
+  // that swap may already see them dead.
+  auto server = TcpNetwork::serve(0, n_workers, fast_opts());
+  EXPECT_EQ(train_over_tcp(*server, arch, cfg, shards, seed, iters),
+            reference.generator().flatten_parameters());
+  expect_same_ledger(*server, sim);
+  EXPECT_GT(server->totals(LinkKind::kWorkerToWorker).messages, 0u);
 }
 
 // The control plane end to end: a worker vanishing bumps the server's
@@ -611,9 +630,9 @@ int raw_hello(std::uint16_t port, int worker_id, std::size_t n_workers) {
 
 TEST(TcpLiveness, SilentWorkerIsSuspectedThenReseatedByAFrame) {
   TcpOptions opts = fast_opts();
-  opts.heartbeat_interval_s = 0.05;
-  opts.suspect_after_s = 0.4;
-  opts.grace_s = 30.0;  // far away: this test must not reach death
+  opts.liveness.heartbeat_interval_s = 0.05;
+  opts.liveness.suspect_after_s = 0.4;
+  opts.liveness.grace_s = 30.0;  // far away: this test must not reach death
   auto server = TcpNetwork::serve(0, 1, opts);
   const int fd = raw_hello(server->port(), 1, 1);
   ASSERT_TRUE(server->wait_ready());
@@ -637,9 +656,9 @@ TEST(TcpLiveness, SilentWorkerIsSuspectedThenReseatedByAFrame) {
 
 TEST(TcpLiveness, SilenceOutlivingTheGraceWindowIsDeath) {
   TcpOptions opts = fast_opts();
-  opts.heartbeat_interval_s = 0.05;
-  opts.suspect_after_s = 0.3;
-  opts.grace_s = 0.4;
+  opts.liveness.heartbeat_interval_s = 0.05;
+  opts.liveness.suspect_after_s = 0.3;
+  opts.liveness.grace_s = 0.4;
   auto server = TcpNetwork::serve(0, 1, opts);
   const int fd = raw_hello(server->port(), 1, 1);
   ASSERT_TRUE(server->wait_ready());

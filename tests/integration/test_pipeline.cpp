@@ -109,7 +109,7 @@ TEST(Integration, CrashRunStillProducesUsableGenerator) {
   Rng split_rng(6);
   auto shards = data::split_iid(p.train, n, split_rng);
   dist::SimNetwork net(n);
-  auto crashes = dist::CrashSchedule::evenly_spaced(60, n);
+  auto crashes = dist::AvailabilitySchedule::evenly_spaced_crashes(60, n);
   core::MdGanConfig cfg;
   cfg.hp = fast_hp();
   cfg.parallel_workers = false;
