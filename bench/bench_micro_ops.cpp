@@ -244,8 +244,8 @@ void bench_leaky_relu(Harness& h) {
     Tensor x = Tensor::randn({b, 512}, rng);
     Tensor g = Tensor::randn({b, 512}, rng);
     h.run("BM_LeakyReLU/" + std::to_string(b), 0, [&] {
-      act.forward_ws(x, true);
-      const Tensor& d = act.backward_ws(g);
+      act.forward(x, true);
+      const Tensor& d = act.backward(g);
       volatile float sink = d[0];
       (void)sink;
     });

@@ -65,18 +65,20 @@ if [ "${1:-}" = "--tsan" ]; then
 fi
 
 # `ci.sh --asan`: AddressSanitizer pass over the common/dist/core/obs
-# tests and the opt/nn/tensor/gan compute tests in its own build tree,
-# then a traced sim run fed through the trace-merge tool — the JSON
-# parser and merger chew on real generated input under the allocator
-# checks — and exit. The tree builds at -O1, which does not vectorize;
-# the optimizer and activation tests cover the vector paths in the
-# normal build.
+# tests, the opt/nn/tensor/gan compute tests and the metrics and
+# integration tests in its own build tree — the scoring classifier, the
+# evaluator and the full standalone/FL/MD pipeline read layer results
+# by reference, so a use after a resize shows there — then a traced sim
+# run fed through the trace-merge tool — the JSON parser and merger chew
+# on real generated input under the allocator checks — and exit. The
+# tree builds at -O1, which does not vectorize; the optimizer and
+# activation tests cover the vector paths in the normal build.
 if [ "${1:-}" = "--asan" ]; then
   cmake -B build-asan -S . -DMDGAN_ASAN=ON \
     -DMDGAN_BUILD_BENCHES=OFF -DMDGAN_BUILD_EXAMPLES=ON
   cmake --build build-asan -j"$(nproc)"
   cd build-asan && ctest --output-on-failure \
-    -R '^(common|dist|core|obs|opt|nn|tensor|gan)_'
+    -R '^(common|dist|core|obs|opt|nn|tensor|gan|metrics|integration)_'
   echo "--- asan smoke: traced sim run through the trace merger"
   ./mdgan_node --role=sim --workers=2 --iters=2 \
     --trace-out=asan_trace.json --metrics-out=asan_metrics.jsonl \

@@ -165,26 +165,31 @@ std::int64_t MdGan::swap_period() const {
 
 std::vector<std::size_t> MdGan::participants(
     const std::vector<int>& present_workers) {
-  std::vector<std::size_t> out;
   for (std::size_t j = 0; j < discs_.size(); ++j) {
     const int holder = discs_[j].holder;
-    if (holder <= 0) continue;
-    if (!net_.is_alive(holder)) {
+    if (holder > 0 && !net_.is_alive(holder)) {
       // Fail-stop: a discriminator on a crashed worker is gone. Prune
       // it so its parameters can never re-enter the game. The last
       // holder is kept: a state-transfer re-admission rebirths exactly
       // the discriminators that died with the rejoiner.
       last_holder_[j] = holder;
       discs_[j].holder = -1;
-      continue;
     }
-    // `present_workers` is ascending; a holder missing from it is
-    // scheduled absent — its discriminator lies dormant this round.
-    if (!std::binary_search(present_workers.begin(), present_workers.end(),
-                            holder)) {
-      continue;
+  }
+  return held_by(present_workers);
+}
+
+std::vector<std::size_t> MdGan::held_by(
+    const std::vector<int>& present_workers) const {
+  // `present_workers` is ascending; a holder missing from it is absent
+  // (scheduled, or lost) — its discriminator lies dormant.
+  std::vector<std::size_t> out;
+  for (std::size_t j = 0; j < discs_.size(); ++j) {
+    const int holder = discs_[j].holder;
+    if (holder > 0 && std::binary_search(present_workers.begin(),
+                                         present_workers.end(), holder)) {
+      out.push_back(j);
     }
-    out.push_back(j);
   }
   return out;
 }
@@ -339,8 +344,9 @@ void MdGan::worker_iteration(std::size_t disc_index) {
   }
 
   // Error feedback F_n on X_g (Algorithm 1 lines 9-10), optionally
-  // compressed at the wire boundary (§VII-2).
-  Tensor feedback = gan::generator_feedback(
+  // compressed at the wire boundary (§VII-2). F_n lives in the
+  // discriminator's scratch; nothing runs on it before the send.
+  const Tensor& feedback = gan::generator_feedback(
       disc.net, x_g, arch_.acgan ? &yg : nullptr, cfg_.hp.saturating);
 
   // The local iteration's modeled compute happens between receiving the
@@ -456,7 +462,13 @@ void MdGan::apply_async(dist::Message&& feedback, std::size_t staleness,
 
 void MdGan::swap(std::int64_t /*iter*/,
                  const std::vector<int>& present_workers) {
-  auto alive_discs = participants(present_workers);
+  // The engine's membership view alone decides who swaps, never live
+  // transport liveness: the roles observe a death at different times
+  // (the workers exit right after their last swap), and every role must
+  // draw the same derangement. A holder that died since the round
+  // started is caught by the source check below and pruned by the next
+  // round's participants().
+  const auto alive_discs = held_by(present_workers);
   if (alive_discs.empty() || present_workers.size() < 2) {
     if (swap_skipped_total_ != nullptr) swap_skipped_total_->inc();
     return;

@@ -287,6 +287,11 @@ class MdGan : private RoundDelegate {
   // scheduled absent stays dormant and is skipped.
   std::vector<std::size_t> participants(
       const std::vector<int>& present_workers) override;
+  // The discriminators whose holder is in `present_workers` (ascending),
+  // by the engine's membership view alone — the filter participants()
+  // applies after its liveness prune, and the swap applies without one.
+  std::vector<std::size_t> held_by(
+      const std::vector<int>& present_workers) const;
   std::vector<int> feedback_senders(
       const std::vector<std::size_t>& discs) override;
   void broadcast(const std::vector<std::size_t>& discs,

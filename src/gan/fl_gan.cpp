@@ -55,28 +55,6 @@ std::int64_t FlGan::round_length() const {
   return len > 0 ? len : 1;
 }
 
-void FlGan::local_iteration(Worker& w) {
-  const std::size_t b = cfg_.hp.batch;
-  std::vector<int> y_real;
-  Tensor x_real = w.shard.sample_batch(w.rng, b, &y_real);
-  std::vector<int> y_fake;
-  Tensor z = sample_latent(arch_, codes_, b, w.rng, y_fake);
-  Tensor x_fake = w.g.forward(z, /*train=*/true);
-  for (std::size_t l = 0; l < cfg_.hp.disc_steps; ++l) {
-    disc_learning_step(w.d, *w.d_opt, x_real, y_real, x_fake, y_fake,
-                       arch_.acgan);
-  }
-
-  std::vector<int> y_gen;
-  Tensor z2 = sample_latent(arch_, codes_, b, w.rng, y_gen);
-  Tensor x_gen = w.g.forward(z2, /*train=*/true);
-  Tensor feedback = generator_feedback(
-      w.d, x_gen, arch_.acgan ? &y_gen : nullptr, cfg_.hp.saturating);
-  w.g_opt->zero_grad();
-  w.g.backward(feedback);
-  w.g_opt->step();
-}
-
 void FlGan::synchronize() {
   // Workers -> server: both parameter vectors.
   const std::size_t n = workers_.size();
@@ -138,7 +116,12 @@ void FlGan::train(std::int64_t iters, std::int64_t eval_every,
       ids.push_back(static_cast<int>(n));
     }
     dist::for_each_worker(
-        ids, [this](int id) { local_iteration(*workers_[id - 1]); },
+        ids,
+        [this](int id) {
+          Worker& w = *workers_[id - 1];
+          local_gan_step(w.shard, w.rng, w.g, *w.g_opt, w.d, *w.d_opt, arch_,
+                         codes_, cfg_.hp);
+        },
         cfg_.parallel_workers);
     if (i % round == 0) synchronize();
     if (hook && eval_every > 0 && (i % eval_every == 0 || i == iters)) {

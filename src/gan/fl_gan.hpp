@@ -55,7 +55,6 @@ class FlGan {
     Rng rng;
   };
 
-  void local_iteration(Worker& w);
   void synchronize();
 
   GanArch arch_;

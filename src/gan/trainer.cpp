@@ -13,19 +13,19 @@ DiscStepStats disc_learning_step(nn::Sequential& disc,
   DiscStepStats stats;
   d_opt.zero_grad();
 
-  // Real side (workspace path: activations and the discarded input grad
-  // live in layer scratch, so the step allocates only the loss grads).
-  const Tensor& out_real = disc.forward_ws(x_real, /*train=*/true);
+  // Real side (activations and the discarded input grad live in layer
+  // scratch, so the step allocates only the loss grads).
+  const Tensor& out_real = disc.forward(x_real, /*train=*/true);
   SideLoss real = disc_side_loss(out_real, /*target_real=*/true,
                                  acgan ? &y_real : nullptr);
-  disc.backward_ws(real.grad);
+  disc.backward(real.grad);
 
   // Fake side (forward/backward immediately: layer caches are
   // single-shot).
-  const Tensor& out_fake = disc.forward_ws(x_fake, /*train=*/true);
+  const Tensor& out_fake = disc.forward(x_fake, /*train=*/true);
   SideLoss fake = disc_side_loss(out_fake, /*target_real=*/false,
                                  acgan ? &y_fake : nullptr);
-  disc.backward_ws(fake.grad);
+  disc.backward(fake.grad);
 
   d_opt.step();
   stats.loss_real = real.source_loss;
@@ -34,18 +34,46 @@ DiscStepStats disc_learning_step(nn::Sequential& disc,
   return stats;
 }
 
-Tensor generator_feedback(nn::Sequential& disc, const Tensor& x_fake,
-                          const std::vector<int>* y_fake, bool saturating,
-                          float* loss_out) {
-  const Tensor& d_out = disc.forward_ws(x_fake, /*train=*/true);
+const Tensor& generator_feedback(nn::Sequential& disc, const Tensor& x_fake,
+                                 const std::vector<int>* y_fake,
+                                 bool saturating, float* loss_out) {
+  const Tensor& d_out = disc.forward(x_fake, /*train=*/true);
   SideLoss gl = generator_loss(d_out, y_fake, saturating);
-  Tensor feedback = disc.backward_ws(gl.grad);  // copy: shipped to server
+  const Tensor& feedback = disc.backward(gl.grad);
   // Drop the parameter gradients this pass accumulated: the
   // discriminator is not being trained here (Algorithm 1 line 9 only
   // ships dJ/dx).
   disc.zero_grad();
   if (loss_out) *loss_out = gl.source_loss + gl.aux_loss;
   return feedback;
+}
+
+void local_gan_step(const data::InMemoryDataset& data, Rng& rng,
+                    nn::Sequential& g, opt::Optimizer& g_opt,
+                    nn::Sequential& d, opt::Optimizer& d_opt,
+                    const GanArch& arch, const ClassCodes& codes,
+                    const GanHyperParams& hp) {
+  // Discriminator learning (L inner steps on fresh fakes, same reals —
+  // the Algorithm 1 worker loop shape). x_fake lives in G's scratch
+  // until G's next forward below.
+  std::vector<int> y_real;
+  Tensor x_real = data.sample_batch(rng, hp.batch, &y_real);
+  std::vector<int> y_fake;
+  Tensor z = sample_latent(arch, codes, hp.batch, rng, y_fake);
+  const Tensor& x_fake = g.forward(z, /*train=*/true);
+  for (std::size_t l = 0; l < hp.disc_steps; ++l) {
+    disc_learning_step(d, d_opt, x_real, y_real, x_fake, y_fake, arch.acgan);
+  }
+
+  // Generator learning: feedback through D, then backprop through G.
+  std::vector<int> y_gen;
+  Tensor z2 = sample_latent(arch, codes, hp.batch, rng, y_gen);
+  const Tensor& x_gen = g.forward(z2, /*train=*/true);
+  const Tensor& feedback = generator_feedback(
+      d, x_gen, arch.acgan ? &y_gen : nullptr, hp.saturating);
+  g_opt.zero_grad();
+  g.backward(feedback);
+  g_opt.step();
 }
 
 StandaloneGan::StandaloneGan(GanArch arch, GanHyperParams hp,
@@ -69,30 +97,9 @@ void StandaloneGan::train(const data::InMemoryDataset& dataset,
                                 dataset.meta().name +
                                 " does not match arch image size");
   }
-  const std::size_t b = hp_.batch;
   for (std::int64_t i = 1; i <= iters; ++i) {
-    // Discriminator learning (L inner steps on fresh fakes, same reals —
-    // the Algorithm 1 worker loop shape).
-    std::vector<int> y_real;
-    Tensor x_real = dataset.sample_batch(rng_, b, &y_real);
-    std::vector<int> y_fake;
-    Tensor z = sample_latent(arch_, codes_, b, rng_, y_fake);
-    Tensor x_fake = g_.forward(z, /*train=*/true);
-    for (std::size_t l = 0; l < hp_.disc_steps; ++l) {
-      disc_learning_step(d_, *d_opt_, x_real, y_real, x_fake, y_fake,
-                         arch_.acgan);
-    }
-
-    // Generator learning: feedback through D, then backprop through G.
-    std::vector<int> y_gen;
-    Tensor z2 = sample_latent(arch_, codes_, b, rng_, y_gen);
-    Tensor x_gen = g_.forward(z2, /*train=*/true);
-    Tensor feedback = generator_feedback(
-        d_, x_gen, arch_.acgan ? &y_gen : nullptr, hp_.saturating);
-    g_opt_->zero_grad();
-    g_.backward(feedback);
-    g_opt_->step();
-
+    local_gan_step(dataset, rng_, g_, *g_opt_, d_, *d_opt_, arch_, codes_,
+                   hp_);
     if (hook && eval_every > 0 && (i % eval_every == 0 || i == iters)) {
       hook(i, g_);
     }

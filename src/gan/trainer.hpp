@@ -6,7 +6,9 @@
 //  * generator_feedback — Algorithm 1 line 9: F_n = dJ_gen/dx computed
 //    through the discriminator *without* applying its parameter grads.
 // Keeping them in one place is what makes the N=1 equivalence property
-// (MD-GAN == standalone, bit-for-bit) testable.
+// (MD-GAN == standalone, bit-for-bit) testable. local_gan_step composes
+// them into the one local iteration the standalone GAN and every FL-GAN
+// worker run.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +49,21 @@ DiscStepStats disc_learning_step(nn::Sequential& disc,
 // Computes F = dJ_gen/dx on a generated batch through `disc`. The
 // discriminator's own parameter gradients produced by this pass are
 // discarded (zeroed) — the worker only ships the input gradient. Returns
-// the (B, d) feedback tensor; `loss_out` (optional) receives J_gen.
-Tensor generator_feedback(nn::Sequential& disc, const Tensor& x_fake,
-                          const std::vector<int>* y_fake, bool saturating,
-                          float* loss_out = nullptr);
+// the (B, d) feedback tensor, which `disc` owns: it stays valid until
+// disc's next forward. `loss_out` (optional) receives J_gen.
+const Tensor& generator_feedback(nn::Sequential& disc, const Tensor& x_fake,
+                                 const std::vector<int>* y_fake,
+                                 bool saturating, float* loss_out = nullptr);
+
+// One local GAN iteration on `data`: L discriminator steps on one real
+// batch against one generated batch, then one generator step through
+// the discriminator's feedback. Draws from `rng` in a fixed order: the
+// real batch, the fake latents, then the generator's latents.
+void local_gan_step(const data::InMemoryDataset& data, Rng& rng,
+                    nn::Sequential& g, opt::Optimizer& g_opt,
+                    nn::Sequential& d, opt::Optimizer& d_opt,
+                    const GanArch& arch, const ClassCodes& codes,
+                    const GanHyperParams& hp);
 
 // Called every eval_every iterations with the current server-side
 // generator. Hooks typically run the metrics::Evaluator.

@@ -37,12 +37,11 @@ ScoringClassifier::ScoringClassifier(const data::InMemoryDataset& train_set,
   for (std::size_t s = 0; s < steps; ++s) {
     std::vector<int> labels;
     Tensor x = train_set.gather(sampler.next(), &labels);
-    Tensor h = trunk_.forward(x, /*train=*/true);
-    Tensor logits = head_.forward(h, /*train=*/true);
+    const Tensor& h = trunk_.forward(x, /*train=*/true);
+    const Tensor& logits = head_.forward(h, /*train=*/true);
     auto loss = nn::softmax_cross_entropy(logits, labels);
     adam.zero_grad();
-    Tensor gh = head_.backward(loss.grad);
-    trunk_.backward(gh);
+    trunk_.backward(head_.backward(loss.grad));
     adam.step();
     last_loss = loss.value;
   }
@@ -52,9 +51,8 @@ ScoringClassifier::ScoringClassifier(const data::InMemoryDataset& train_set,
 }
 
 Tensor ScoringClassifier::probabilities(const Tensor& images) {
-  Tensor h = trunk_.forward(images, /*train=*/false);
-  Tensor logits = head_.forward(h, /*train=*/false);
-  return softmax_rows(logits);
+  return softmax_rows(
+      head_.forward(trunk_.forward(images, /*train=*/false), /*train=*/false));
 }
 
 Tensor ScoringClassifier::features(const Tensor& images) {
@@ -63,9 +61,8 @@ Tensor ScoringClassifier::features(const Tensor& images) {
 
 float ScoringClassifier::evaluate_accuracy(
     const data::InMemoryDataset& test_set) {
-  Tensor h = trunk_.forward(test_set.images(), /*train=*/false);
-  Tensor logits = head_.forward(h, /*train=*/false);
-  return nn::accuracy(logits, test_set.labels());
+  const Tensor& h = trunk_.forward(test_set.images(), /*train=*/false);
+  return nn::accuracy(head_.forward(h, /*train=*/false), test_set.labels());
 }
 
 }  // namespace mdgan::metrics

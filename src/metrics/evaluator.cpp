@@ -28,7 +28,7 @@ GanScores Evaluator::evaluate(nn::Sequential& generator,
                               const gan::ClassCodes& codes) {
   std::vector<int> labels;
   Tensor z = gan::sample_latent(arch, codes, eval_samples_, rng_, labels);
-  Tensor fake = generator.forward(z, /*train=*/false);
+  const Tensor& fake = generator.forward(z, /*train=*/false);
 
   GanScores s;
   s.inception_score = inception_score(classifier_.probabilities(fake));

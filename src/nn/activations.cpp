@@ -21,14 +21,7 @@ void check_backward_shape(const Tensor* cached, const Tensor& grad,
 
 }  // namespace
 
-Tensor ReLU::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-Tensor ReLU::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
-}
-
-const Tensor& ReLU::forward_ws(const Tensor& x, bool /*train*/) {
+const Tensor& ReLU::forward(const Tensor& x, bool /*train*/) {
   ws_.reset();
   Tensor& y = ws_.acquire(x.shape());
   const float* __restrict p = x.data();
@@ -40,7 +33,7 @@ const Tensor& ReLU::forward_ws(const Tensor& x, bool /*train*/) {
   return y;
 }
 
-const Tensor& ReLU::backward_ws(const Tensor& grad_out) {
+const Tensor& ReLU::backward(const Tensor& grad_out) {
   check_backward_shape(cached_output_, grad_out, "ReLU");
   // y > 0 iff x > 0, so the output is its own mask.
   Tensor& g = ws_.acquire(grad_out.shape());
@@ -64,14 +57,7 @@ LeakyReLU::LeakyReLU(float alpha) : alpha_(alpha) {
   }
 }
 
-Tensor LeakyReLU::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-Tensor LeakyReLU::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
-}
-
-const Tensor& LeakyReLU::forward_ws(const Tensor& x, bool /*train*/) {
+const Tensor& LeakyReLU::forward(const Tensor& x, bool /*train*/) {
   ws_.reset();
   Tensor& y = ws_.acquire(x.shape());
   const float* __restrict p = x.data();
@@ -91,7 +77,7 @@ const Tensor& LeakyReLU::forward_ws(const Tensor& x, bool /*train*/) {
   return y;
 }
 
-const Tensor& LeakyReLU::backward_ws(const Tensor& grad_out) {
+const Tensor& LeakyReLU::backward(const Tensor& grad_out) {
   check_backward_shape(cached_output_, grad_out, "LeakyReLU");
   // alpha >= 0 keeps sign(y) == sign(x), so the output is its own mask
   // (x <= 0 gives y = alpha*x <= 0 either way).
@@ -101,7 +87,7 @@ const Tensor& LeakyReLU::backward_ws(const Tensor& grad_out) {
   float* __restrict pd = g.data();
   parallel_for(g.numel(), kParallelGrainElems,
                [py, pg, pd, alpha = alpha_](std::size_t e0, std::size_t e1) {
-                 const float a = alpha;  // see forward_ws
+                 const float a = alpha;  // see forward
                  for (std::size_t i = e0; i < e1; ++i) {
                    pd[i] = py[i] > 0.f ? pg[i] : a * pg[i];
                  }
@@ -109,14 +95,7 @@ const Tensor& LeakyReLU::backward_ws(const Tensor& grad_out) {
   return g;
 }
 
-Tensor Tanh::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-Tensor Tanh::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
-}
-
-const Tensor& Tanh::forward_ws(const Tensor& x, bool /*train*/) {
+const Tensor& Tanh::forward(const Tensor& x, bool /*train*/) {
   ws_.reset();
   Tensor& y = ws_.acquire(x.shape());
   const float* __restrict p = x.data();
@@ -132,7 +111,7 @@ const Tensor& Tanh::forward_ws(const Tensor& x, bool /*train*/) {
   return y;
 }
 
-const Tensor& Tanh::backward_ws(const Tensor& grad_out) {
+const Tensor& Tanh::backward(const Tensor& grad_out) {
   check_backward_shape(cached_output_, grad_out, "Tanh");
   Tensor& g = ws_.acquire(grad_out.shape());
   const float* __restrict py = cached_output_->data();
@@ -147,14 +126,7 @@ const Tensor& Tanh::backward_ws(const Tensor& grad_out) {
   return g;
 }
 
-Tensor Sigmoid::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-Tensor Sigmoid::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
-}
-
-const Tensor& Sigmoid::forward_ws(const Tensor& x, bool /*train*/) {
+const Tensor& Sigmoid::forward(const Tensor& x, bool /*train*/) {
   ws_.reset();
   Tensor& y = ws_.acquire(x.shape());
   const float* __restrict p = x.data();
@@ -169,7 +141,7 @@ const Tensor& Sigmoid::forward_ws(const Tensor& x, bool /*train*/) {
   return y;
 }
 
-const Tensor& Sigmoid::backward_ws(const Tensor& grad_out) {
+const Tensor& Sigmoid::backward(const Tensor& grad_out) {
   check_backward_shape(cached_output_, grad_out, "Sigmoid");
   Tensor& g = ws_.acquire(grad_out.shape());
   const float* __restrict py = cached_output_->data();

@@ -2,8 +2,8 @@
 // tanh/sigmoid the gradient is a function of the output, and for the
 // ReLU family sign(y) == sign(x) (alpha >= 0), so the output mask
 // suffices — no input copy needed. All four run out of a per-layer
-// Workspace on the hot path (zero steady-state allocations) with
-// grain-aware parallel elementwise loops.
+// Workspace (zero steady-state allocations) with grain-aware parallel
+// elementwise loops.
 #pragma once
 
 #include "common/workspace.hpp"
@@ -13,10 +13,8 @@ namespace mdgan::nn {
 
 class ReLU : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  const Tensor& forward_ws(const Tensor& x, bool train) override;
-  const Tensor& backward_ws(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x, bool train) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   std::string name() const override { return "ReLU"; }
 
  private:
@@ -29,10 +27,8 @@ class LeakyReLU : public Layer {
   // alpha must be >= 0: backward uses the output sign as the mask,
   // which only matches the input sign for non-negative slopes.
   explicit LeakyReLU(float alpha = 0.2f);
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  const Tensor& forward_ws(const Tensor& x, bool train) override;
-  const Tensor& backward_ws(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x, bool train) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   std::string name() const override { return "LeakyReLU"; }
   float alpha() const { return alpha_; }
 
@@ -44,10 +40,8 @@ class LeakyReLU : public Layer {
 
 class Tanh : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  const Tensor& forward_ws(const Tensor& x, bool train) override;
-  const Tensor& backward_ws(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x, bool train) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   std::string name() const override { return "Tanh"; }
 
  private:
@@ -57,10 +51,8 @@ class Tanh : public Layer {
 
 class Sigmoid : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  const Tensor& forward_ws(const Tensor& x, bool train) override;
-  const Tensor& backward_ws(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x, bool train) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   std::string name() const override { return "Sigmoid"; }
 
  private:

@@ -14,7 +14,12 @@ BatchNorm::BatchNorm(std::size_t channels, float momentum, float eps)
       dgamma_({channels}),
       dbeta_({channels}),
       running_mean_({channels}),
-      running_var_({channels}, 1.f) {}
+      running_var_({channels}, 1.f),
+      mean_({channels}),
+      var_({channels}),
+      inv_std_({channels}),
+      sum_g_({channels}),
+      sum_gx_({channels}) {}
 
 void BatchNorm::split_dims(const Shape& s, std::size_t& outer,
                            std::size_t& inner, const char* who) const {
@@ -32,15 +37,15 @@ void BatchNorm::split_dims(const Shape& s, std::size_t& outer,
   }
 }
 
-Tensor BatchNorm::forward(const Tensor& x, bool train) {
+const Tensor& BatchNorm::forward(const Tensor& x, bool train) {
   std::size_t outer, inner;
   split_dims(x.shape(), outer, inner, "BatchNorm::forward");
-  cached_shape_ = x.shape();
   const std::size_t n_per_ch = outer * inner;
   const float* px = x.data();
 
-  Tensor mean({channels_});
-  Tensor var({channels_});
+  // Batch statistics in training mode, running estimates at inference.
+  Tensor& mean = train ? mean_ : running_mean_;
+  Tensor& var = train ? var_ : running_var_;
   if (train) {
     for (std::size_t c = 0; c < channels_; ++c) {
       double acc = 0.0;
@@ -67,23 +72,19 @@ Tensor BatchNorm::forward(const Tensor& x, bool train) {
       running_var_[c] =
           momentum_ * running_var_[c] + (1.f - momentum_) * var[c];
     }
-  } else {
-    mean = running_mean_;
-    var = running_var_;
   }
 
-  cached_inv_std_ = Tensor({channels_});
   for (std::size_t c = 0; c < channels_; ++c) {
-    cached_inv_std_[c] = 1.f / std::sqrt(var[c] + eps_);
+    inv_std_[c] = 1.f / std::sqrt(var[c] + eps_);
   }
 
-  Tensor y(x.shape());
-  cached_xhat_ = Tensor(x.shape());
-  float* py = y.data();
-  float* ph = cached_xhat_.data();
+  y_.resize(x.shape());
+  xhat_.resize(x.shape());
+  float* py = y_.data();
+  float* ph = xhat_.data();
   for (std::size_t o = 0; o < outer; ++o) {
     for (std::size_t c = 0; c < channels_; ++c) {
-      const float m = mean[c], is = cached_inv_std_[c];
+      const float m = mean[c], is = inv_std_[c];
       const float g = gamma_[c], bt = beta_[c];
       const std::size_t base = (o * channels_ + c) * inner;
       for (std::size_t i = 0; i < inner; ++i) {
@@ -93,22 +94,23 @@ Tensor BatchNorm::forward(const Tensor& x, bool train) {
       }
     }
   }
-  return y;
+  return y_;
 }
 
-Tensor BatchNorm::backward(const Tensor& grad_out) {
-  if (grad_out.shape() != cached_shape_) {
+const Tensor& BatchNorm::backward(const Tensor& grad_out) {
+  const Shape& shape = xhat_.shape();
+  if (grad_out.shape() != shape) {
     throw std::invalid_argument("BatchNorm::backward: grad shape mismatch");
   }
   std::size_t outer, inner;
-  split_dims(cached_shape_, outer, inner, "BatchNorm::backward");
+  split_dims(shape, outer, inner, "BatchNorm::backward");
   const std::size_t n_per_ch = outer * inner;
   const float* pg = grad_out.data();
-  const float* ph = cached_xhat_.data();
+  const float* ph = xhat_.data();
 
   // Per-channel reductions: sum(g), sum(g*xhat).
-  Tensor sum_g({channels_});
-  Tensor sum_gx({channels_});
+  sum_g_.zero();
+  sum_gx_.zero();
   for (std::size_t o = 0; o < outer; ++o) {
     for (std::size_t c = 0; c < channels_; ++c) {
       const std::size_t base = (o * channels_ + c) * inner;
@@ -117,22 +119,22 @@ Tensor BatchNorm::backward(const Tensor& grad_out) {
         sg += pg[base + i];
         sgx += static_cast<double>(pg[base + i]) * ph[base + i];
       }
-      sum_g[c] += static_cast<float>(sg);
-      sum_gx[c] += static_cast<float>(sgx);
+      sum_g_[c] += static_cast<float>(sg);
+      sum_gx_[c] += static_cast<float>(sgx);
     }
   }
-  dbeta_ += sum_g;
-  dgamma_ += sum_gx;
+  dbeta_ += sum_g_;
+  dgamma_ += sum_gx_;
 
   // dx = gamma * inv_std / n * (n*g - sum(g) - xhat * sum(g*xhat))
   // (training-mode batch statistics are part of the graph).
-  Tensor dx(cached_shape_);
-  float* pd = dx.data();
+  dx_.resize(shape);
+  float* pd = dx_.data();
   const float inv_n = 1.f / static_cast<float>(n_per_ch);
   for (std::size_t o = 0; o < outer; ++o) {
     for (std::size_t c = 0; c < channels_; ++c) {
-      const float coef = gamma_[c] * cached_inv_std_[c] * inv_n;
-      const float sg = sum_g[c], sgx = sum_gx[c];
+      const float coef = gamma_[c] * inv_std_[c] * inv_n;
+      const float sg = sum_g_[c], sgx = sum_gx_[c];
       const std::size_t base = (o * channels_ + c) * inner;
       for (std::size_t i = 0; i < inner; ++i) {
         pd[base + i] = coef * (static_cast<float>(n_per_ch) * pg[base + i] -
@@ -140,7 +142,7 @@ Tensor BatchNorm::backward(const Tensor& grad_out) {
       }
     }
   }
-  return dx;
+  return dx_;
 }
 
 }  // namespace mdgan::nn

@@ -13,8 +13,8 @@ class BatchNorm : public Layer {
   explicit BatchNorm(std::size_t channels, float momentum = 0.9f,
                      float eps = 1e-5f);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x, bool train) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override { return {&gamma_, &beta_}; }
   std::vector<Tensor*> grads() override { return {&dgamma_, &dbeta_}; }
   std::string name() const override { return "BatchNorm"; }
@@ -32,10 +32,12 @@ class BatchNorm : public Layer {
   float momentum_, eps_;
   Tensor gamma_, beta_, dgamma_, dbeta_;
   Tensor running_mean_, running_var_;
-  // Forward caches (training mode).
-  Tensor cached_xhat_;
-  Tensor cached_inv_std_;  // per-channel 1/sqrt(var+eps)
-  Shape cached_shape_;
+  // Per-channel scratch, sized once: the batch statistics, 1/sqrt(var +
+  // eps) (cached for backward) and backward's two reductions.
+  Tensor mean_, var_, inv_std_, sum_g_, sum_gx_;
+  // The two results and the normalized input (cached for backward),
+  // resized in place when the batch shape changes.
+  Tensor y_, dx_, xhat_;
 };
 
 }  // namespace mdgan::nn

@@ -22,15 +22,7 @@ ConvTranspose2D::ConvTranspose2D(std::size_t in_channels,
       dw_({in_channels, out_channels * kh * kw}),
       db_({out_channels}) {}
 
-Tensor ConvTranspose2D::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-
-Tensor ConvTranspose2D::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
-}
-
-const Tensor& ConvTranspose2D::forward_ws(const Tensor& x, bool /*train*/) {
+const Tensor& ConvTranspose2D::forward(const Tensor& x, bool /*train*/) {
   if (x.rank() != 4 || x.dim(1) != ic_) {
     throw std::invalid_argument("ConvTranspose2D::forward: expected (B," +
                                 std::to_string(ic_) + ",H,W), got " +
@@ -74,7 +66,7 @@ const Tensor& ConvTranspose2D::forward_ws(const Tensor& x, bool /*train*/) {
   return y;
 }
 
-const Tensor& ConvTranspose2D::backward_ws(const Tensor& grad_out) {
+const Tensor& ConvTranspose2D::backward(const Tensor& grad_out) {
   if (!cached_x_mat_) {
     throw std::logic_error("ConvTranspose2D::backward: no forward cached");
   }

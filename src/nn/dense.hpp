@@ -1,7 +1,7 @@
 // Fully connected layer: y = x W + b, x is (B, in), W is (in, out).
-// Hot path (forward_ws/backward_ws) runs out of a per-layer Workspace —
-// zero heap allocations once shapes have stabilized — with the bias add
-// fused into the GEMM epilogue.
+// Both passes run out of a per-layer Workspace — zero heap allocations
+// once shapes have stabilized — with the bias add fused into the GEMM
+// epilogue.
 #pragma once
 
 #include "common/workspace.hpp"
@@ -16,10 +16,8 @@ class Dense : public Layer {
   // lives in one place.
   Dense(std::size_t in_features, std::size_t out_features);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  const Tensor& forward_ws(const Tensor& x, bool train) override;
-  const Tensor& backward_ws(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x, bool train) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }
   std::string name() const override { return "Dense"; }
@@ -33,7 +31,7 @@ class Dense : public Layer {
   std::size_t in_, out_;
   Tensor w_, b_, dw_, db_;
   Workspace ws_;
-  const Tensor* cached_input_ = nullptr;  // ws copy, set by forward_ws
+  const Tensor* cached_input_ = nullptr;  // ws copy, set by forward
 };
 
 }  // namespace mdgan::nn

@@ -17,15 +17,7 @@ MinibatchDiscrimination::MinibatchDiscrimination(std::size_t in_features,
       t_({in_features, num_kernels * kernel_dim}),
       dt_({in_features, num_kernels * kernel_dim}) {}
 
-Tensor MinibatchDiscrimination::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-
-Tensor MinibatchDiscrimination::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
-}
-
-const Tensor& MinibatchDiscrimination::forward_ws(const Tensor& x,
+const Tensor& MinibatchDiscrimination::forward(const Tensor& x,
                                                   bool /*train*/) {
   if (x.rank() != 2 || x.dim(1) != in_) {
     throw std::invalid_argument(
@@ -68,7 +60,7 @@ const Tensor& MinibatchDiscrimination::forward_ws(const Tensor& x,
   return y;
 }
 
-const Tensor& MinibatchDiscrimination::backward_ws(const Tensor& grad_out) {
+const Tensor& MinibatchDiscrimination::backward(const Tensor& grad_out) {
   if (!cached_input_ || !cached_m_) {
     throw std::logic_error(
         "MinibatchDiscrimination::backward: no forward pass cached");

@@ -20,10 +20,8 @@ class MinibatchDiscrimination : public Layer {
   MinibatchDiscrimination(std::size_t in_features, std::size_t num_kernels,
                           std::size_t kernel_dim);
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  const Tensor& forward_ws(const Tensor& x, bool train) override;
-  const Tensor& backward_ws(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x, bool train) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override { return {&t_}; }
   std::vector<Tensor*> grads() override { return {&dt_}; }
   std::string name() const override { return "MinibatchDiscrimination"; }

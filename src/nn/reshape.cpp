@@ -5,15 +5,7 @@
 
 namespace mdgan::nn {
 
-Tensor Reshape::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-
-Tensor Reshape::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
-}
-
-const Tensor& Reshape::forward_ws(const Tensor& x, bool /*train*/) {
+const Tensor& Reshape::forward(const Tensor& x, bool /*train*/) {
   if (x.rank() < 1) throw std::invalid_argument("Reshape: rank >= 1 needed");
   ws_.reset();
   cached_input_shape_ = x.shape();
@@ -31,7 +23,7 @@ const Tensor& Reshape::forward_ws(const Tensor& x, bool /*train*/) {
   return y;
 }
 
-const Tensor& Reshape::backward_ws(const Tensor& grad_out) {
+const Tensor& Reshape::backward(const Tensor& grad_out) {
   if (grad_out.numel() != shape_numel(cached_input_shape_)) {
     throw std::invalid_argument("Reshape::backward: numel mismatch");
   }
@@ -40,15 +32,7 @@ const Tensor& Reshape::backward_ws(const Tensor& grad_out) {
   return g;
 }
 
-Tensor Flatten::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-
-Tensor Flatten::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
-}
-
-const Tensor& Flatten::forward_ws(const Tensor& x, bool /*train*/) {
+const Tensor& Flatten::forward(const Tensor& x, bool /*train*/) {
   if (x.rank() < 2) throw std::invalid_argument("Flatten: rank >= 2 needed");
   ws_.reset();
   cached_input_shape_ = x.shape();
@@ -57,7 +41,7 @@ const Tensor& Flatten::forward_ws(const Tensor& x, bool /*train*/) {
   return y;
 }
 
-const Tensor& Flatten::backward_ws(const Tensor& grad_out) {
+const Tensor& Flatten::backward(const Tensor& grad_out) {
   if (grad_out.numel() != shape_numel(cached_input_shape_)) {
     throw std::invalid_argument("Flatten::backward: numel mismatch");
   }

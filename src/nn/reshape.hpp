@@ -2,8 +2,8 @@
 // Reshape keeps the batch dimension and reinterprets the rest (e.g.
 // Dense output (B, 6272) -> feature maps (B, 32, 14, 14) in the CNN
 // generator), Flatten is the inverse. Data still has to be copied (the
-// workspace output is a distinct buffer), but on the hot path the copy
-// lands in reused scratch.
+// workspace output is a distinct buffer), but the copy lands in reused
+// scratch.
 #pragma once
 
 #include "common/workspace.hpp"
@@ -16,10 +16,8 @@ class Reshape : public Layer {
   // `inner` is the per-sample shape; batch dim is preserved.
   explicit Reshape(Shape inner) : inner_(std::move(inner)) {}
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  const Tensor& forward_ws(const Tensor& x, bool train) override;
-  const Tensor& backward_ws(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x, bool train) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   std::string name() const override { return "Reshape"; }
 
  private:
@@ -31,10 +29,8 @@ class Reshape : public Layer {
 
 class Flatten : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  const Tensor& forward_ws(const Tensor& x, bool train) override;
-  const Tensor& backward_ws(const Tensor& grad_out) override;
+  const Tensor& forward(const Tensor& x, bool train) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   std::string name() const override { return "Flatten"; }
 
  private:

@@ -6,24 +6,16 @@
 
 namespace mdgan::nn {
 
-Tensor Sequential::forward(const Tensor& x, bool train) {
-  return forward_ws(x, train);
-}
-
-Tensor Sequential::backward(const Tensor& grad_out) {
-  return backward_ws(grad_out);
-}
-
-const Tensor& Sequential::forward_ws(const Tensor& x, bool train) {
+const Tensor& Sequential::forward(const Tensor& x, bool train) {
   const Tensor* h = &x;
-  for (auto& layer : layers_) h = &layer->forward_ws(*h, train);
+  for (auto& layer : layers_) h = &layer->forward(*h, train);
   return *h;
 }
 
-const Tensor& Sequential::backward_ws(const Tensor& grad_out) {
+const Tensor& Sequential::backward(const Tensor& grad_out) {
   const Tensor* g = &grad_out;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = &(*it)->backward_ws(*g);
+    g = &(*it)->backward(*g);
   }
   return *g;
 }

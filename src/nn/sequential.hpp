@@ -33,12 +33,10 @@ class Sequential : public Layer {
   std::size_t num_layers() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_.at(i); }
 
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  // Chains the layers' workspace paths; the returned reference lives in
-  // the last (resp. first) layer's scratch.
-  const Tensor& forward_ws(const Tensor& x, bool train) override;
-  const Tensor& backward_ws(const Tensor& grad_out) override;
+  // Chains the layers' passes; the returned reference lives in the last
+  // (resp. first) layer's scratch.
+  const Tensor& forward(const Tensor& x, bool train) override;
+  const Tensor& backward(const Tensor& grad_out) override;
   std::vector<Tensor*> params() override;
   std::vector<Tensor*> grads() override;
   std::string name() const override { return "Sequential"; }

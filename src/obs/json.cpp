@@ -83,6 +83,9 @@ struct Parser {
     while (at < text.size()) {
       const char c = text[at++];
       if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return fail("control character in string");
+      }
       if (c != '\\') {
         out->push_back(c);
         continue;
@@ -134,25 +137,38 @@ struct Parser {
     return fail("unterminated string");
   }
 
+  bool digit() const {
+    return at < text.size() &&
+           std::isdigit(static_cast<unsigned char>(text[at])) != 0;
+  }
+
+  // Skips one or more digits; fails when there is none.
+  bool digits(const char* what) {
+    if (!digit()) return fail(what);
+    while (digit()) ++at;
+    return true;
+  }
+
+  // RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
   bool parse_number(Value* out) {
     const std::size_t start = at;
-    if (at < text.size() && text[at] == '-') ++at;
-    while (at < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[at])) ||
-            text[at] == '.' || text[at] == 'e' || text[at] == 'E' ||
-            text[at] == '+' || text[at] == '-')) {
+    if (text[at] == '-') ++at;
+    if (at < text.size() && text[at] == '0') {
       ++at;
+    } else if (!digits("expected digit")) {
+      return false;
     }
-    if (at == start) return fail("expected number");
-    const std::string tok = text.substr(start, at - start);
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      at = start;
-      return fail("malformed number");
+    if (at < text.size() && text[at] == '.') {
+      ++at;
+      if (!digits("expected fraction digit")) return false;
+    }
+    if (at < text.size() && (text[at] == 'e' || text[at] == 'E')) {
+      ++at;
+      if (at < text.size() && (text[at] == '+' || text[at] == '-')) ++at;
+      if (!digits("expected exponent digit")) return false;
     }
     out->kind = Value::Kind::kNumber;
-    out->number = v;
+    out->number = std::strtod(text.substr(start, at - start).c_str(), nullptr);
     return true;
   }
 

@@ -4,8 +4,11 @@
 // metrics / flight-recorder JSONL streams. Recursive descent over the
 // full value grammar (null, bool, number, string with escapes, array,
 // object); objects preserve key order so a parse -> inspect round trip
-// stays deterministic. Not a streaming parser — inputs are the files we
-// ourselves produce, a few MB at most.
+// stays deterministic. The grammar is RFC 8259's, strictly: a raw
+// control character in a string, a lone surrogate escape, a number
+// such as `01`, `1.` or `1e` and trailing garbage are all rejected, since
+// a peer's `!stats` reply is input too. Not a streaming parser — inputs
+// are the files we ourselves produce, a few MB at most.
 #pragma once
 
 #include <cstddef>

@@ -56,18 +56,33 @@ bool eventually(const std::function<bool()>& pred, double timeout_s = 10.0) {
   return pred();
 }
 
+// What the server role ends a loopback run with.
+struct ServerEnd {
+  std::vector<float> generator;  // final θ, flattened
+  std::vector<int> holders;      // holder_of(j) for every discriminator
+};
+
+// Every discriminator's holder, as an MdGan's bookkeeping sees it.
+std::vector<int> holder_map(const core::MdGan& md) {
+  std::vector<int> out;
+  for (std::size_t j = 0; j < md.discriminator_count(); ++j) {
+    out.push_back(md.holder_of(j));
+  }
+  return out;
+}
+
 // Trains MD-GAN as real endpoints over 127.0.0.1: the server role on
 // `server` plus one worker role per shard, each on its own thread, all
 // under the same config, seed and schedule. Returns the server's final
-// generator.
-std::vector<float> train_over_tcp(
+// generator and holder map.
+ServerEnd train_over_tcp(
     TcpNetwork& server, const gan::GanArch& arch,
     const core::MdGanConfig& cfg,
     const std::vector<data::InMemoryDataset>& shards, std::uint64_t seed,
     std::int64_t iters, const AvailabilitySchedule* sched = nullptr) {
   const std::size_t n_workers = shards.size();
   const auto port = server.port();
-  std::vector<float> got;
+  ServerEnd got;
   std::vector<std::string> errors(n_workers + 1);
   std::thread server_thread([&] {
     try {
@@ -76,7 +91,7 @@ std::vector<float> train_over_tcp(
       core::MdGan md(arch, scfg, {}, seed, server, sched,
                      core::NodeRole::server());
       md.train(iters);
-      got = md.generator().flatten_parameters();
+      got = {md.generator().flatten_parameters(), holder_map(md)};
     } catch (const std::exception& e) {
       errors[0] = e.what();
     }
@@ -283,7 +298,8 @@ TEST(TcpMdGan, LoopbackRunMatchesSimulatorBitForBit) {
   // Real thing: three endpoints, three roles, one loopback.
   auto server = TcpNetwork::serve(0, n_workers, fast_opts());
   // Bit-identical generator weights and an identical wire ledger.
-  EXPECT_EQ(train_over_tcp(*server, arch, cfg, shards, seed, iters), want);
+  EXPECT_EQ(train_over_tcp(*server, arch, cfg, shards, seed, iters).generator,
+            want);
   expect_same_ledger(*server, sim);
   EXPECT_EQ(server->max_ingress_per_iteration(kServerId),
             sim.max_ingress_per_iteration(kServerId));
@@ -326,8 +342,9 @@ TEST(TcpMdGan, LeaveAndRejoinCompletesAndMatchesSimulator) {
   for (float v : want) ASSERT_TRUE(std::isfinite(v));
 
   auto server = TcpNetwork::serve(0, n_workers, fast_opts());
-  EXPECT_EQ(train_over_tcp(*server, arch, cfg, shards, seed, iters, &sched),
-            want);
+  EXPECT_EQ(
+      train_over_tcp(*server, arch, cfg, shards, seed, iters, &sched).generator,
+      want);
   expect_same_ledger(*server, sim);
   EXPECT_GT(server->totals(LinkKind::kWorkerToWorker).bytes, 0u)
       << "the post-rejoin swap should have crossed the relay";
@@ -366,12 +383,14 @@ TEST(TcpMdGan, SparseDiscriminatorsMatchSimulator) {
   ASSERT_TRUE(reached_worker_3)
       << "no swap moved a discriminator onto worker 3";
 
-  // The server's holder_of() is not compared: the workers exit right
-  // after their last swap, so the server's bookkeeping-only replay of
-  // that swap may already see them dead.
+  // The workers exit right after their last swap, so the server's
+  // bookkeeping-only replay of that swap may already see them dead; its
+  // holder map must still follow the simulator's.
   auto server = TcpNetwork::serve(0, n_workers, fast_opts());
-  EXPECT_EQ(train_over_tcp(*server, arch, cfg, shards, seed, iters),
-            reference.generator().flatten_parameters());
+  const ServerEnd got =
+      train_over_tcp(*server, arch, cfg, shards, seed, iters);
+  EXPECT_EQ(got.generator, reference.generator().flatten_parameters());
+  EXPECT_EQ(got.holders, holder_map(reference));
   expect_same_ledger(*server, sim);
   EXPECT_GT(server->totals(LinkKind::kWorkerToWorker).messages, 0u);
 }

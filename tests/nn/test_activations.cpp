@@ -117,14 +117,14 @@ TEST(Activations, ElementwiseLoopsAreExact) {
 
     std::size_t first = 0;
     LeakyReLU leaky(0.2f);
-    EXPECT_EQ(count_mismatches(leaky.forward_ws(x, true), leaky_y, first), 0u)
+    EXPECT_EQ(count_mismatches(leaky.forward(x, true), leaky_y, first), 0u)
         << "LeakyReLU forward, first at " << first;
-    EXPECT_EQ(count_mismatches(leaky.backward_ws(g), leaky_d, first), 0u)
+    EXPECT_EQ(count_mismatches(leaky.backward(g), leaky_d, first), 0u)
         << "LeakyReLU backward, first at " << first;
     ReLU relu;
-    EXPECT_EQ(count_mismatches(relu.forward_ws(x, true), relu_y, first), 0u)
+    EXPECT_EQ(count_mismatches(relu.forward(x, true), relu_y, first), 0u)
         << "ReLU forward, first at " << first;
-    EXPECT_EQ(count_mismatches(relu.backward_ws(g), relu_d, first), 0u)
+    EXPECT_EQ(count_mismatches(relu.backward(g), relu_d, first), 0u)
         << "ReLU backward, first at " << first;
   }
 }

@@ -1,9 +1,10 @@
-// Workspace-arena contract tests: (1) warmed-up Dense/Conv2D training
-// steps perform ZERO heap allocations (checked against the global
-// allocation counters installed by common/alloc_tracker.cpp), and
-// (2) arena reuse is arithmetically invisible — training with warm,
-// reused arenas produces bit-identical weights to a reference that
-// allocates fresh layers (cold arenas) every step.
+// Layer-owned result contract tests: (1) warmed-up Dense/Conv2D
+// training steps perform ZERO heap allocations (checked against the
+// global allocation counters installed by common/alloc_tracker.cpp),
+// and (2) reusing layer-owned storage is arithmetically invisible for
+// every layer type — training one warm layer produces bit-identical
+// outputs, input gradients and weights to a reference that builds a
+// fresh layer (cold storage) every step.
 //
 // The Dense step also runs at a shape above the GEMM engine's parallel
 // grain, so on a multi-core host its products fan out to the thread
@@ -17,8 +18,11 @@
 
 #include "common/alloc_tracker.hpp"
 #include "common/rng.hpp"
+#include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/conv_transpose2d.hpp"
 #include "nn/dense.hpp"
+#include "nn/minibatch_discrimination.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace mdgan::nn {
@@ -44,9 +48,9 @@ TEST(Workspace, DenseSteadyStateIsAllocationFree) {
     // builds a fresh vector per call).
     auto grads = layer.grads();
     auto step = [&] {
-      const Tensor& y = layer.forward_ws(x, true);
+      const Tensor& y = layer.forward(x, true);
       (void)y;
-      const Tensor& dx = layer.backward_ws(gy);
+      const Tensor& dx = layer.backward(gy);
       (void)dx;
       for (Tensor* g : grads) g->zero();
     };
@@ -69,9 +73,9 @@ TEST(Workspace, Conv2DSteadyStateIsAllocationFree) {
 
   auto grads = layer.grads();
   auto step = [&] {
-    const Tensor& y = layer.forward_ws(x, true);
+    const Tensor& y = layer.forward(x, true);
     (void)y;
-    const Tensor& dx = layer.backward_ws(gy);
+    const Tensor& dx = layer.backward(gy);
     (void)dx;
     for (Tensor* g : grads) g->zero();
   };
@@ -99,8 +103,10 @@ std::vector<std::vector<float>> read_tensors(std::vector<Tensor*> ts) {
 }
 
 // Reference "per-step allocation" trainer: a brand-new layer object per
-// step (cold arenas, every buffer freshly allocated), weights threaded
-// through by copy. Must be bit-identical to reusing one warm layer.
+// step (cold storage, every buffer freshly allocated), weights threaded
+// through by copy. Must be bit-identical to reusing one warm layer: a
+// result or reduction buffer that reuse fails to overwrite or re-zero
+// shows up in the outputs, the input gradients or the weights.
 template <typename MakeLayer>
 void check_reuse_determinism(MakeLayer make_layer, const Shape& x_shape,
                              const Shape& gy_shape, std::uint64_t seed) {
@@ -115,17 +121,21 @@ void check_reuse_determinism(MakeLayer make_layer, const Shape& x_shape,
   auto warm_weights = read_tensors(proto->params());
   auto cold_weights = warm_weights;
 
-  auto& warm = *proto;  // one instance, arenas reused across all steps
+  auto& warm = *proto;  // one instance, storage reused across all steps
   Rng data_warm(seed + 1), data_cold(seed + 1);
+  std::vector<float> warm_results, cold_results;
 
   auto run_step = [&](Layer& layer, Rng& rng,
-                      std::vector<std::vector<float>>& weights) {
+                      std::vector<std::vector<float>>& weights,
+                      std::vector<float>& results) {
     Tensor x = Tensor::randn(x_shape, rng);
     Tensor gy = Tensor::randn(gy_shape, rng);
     assign_params(layer, weights);
     layer.zero_grad();
-    layer.forward_ws(x, true);
-    layer.backward_ws(gy);
+    const Tensor& y = layer.forward(x, true);
+    results.insert(results.end(), y.vec().begin(), y.vec().end());
+    const Tensor& dx = layer.backward(gy);
+    results.insert(results.end(), dx.vec().begin(), dx.vec().end());
     auto gs = layer.grads();
     for (std::size_t i = 0; i < gs.size(); ++i) {
       const float* g = gs[i]->data();
@@ -137,18 +147,22 @@ void check_reuse_determinism(MakeLayer make_layer, const Shape& x_shape,
 
   for (int epoch = 0; epoch < kEpochs; ++epoch) {
     for (int s = 0; s < kStepsPerEpoch; ++s) {
-      run_step(warm, data_warm, warm_weights);
-      auto fresh = make_layer();  // cold arena every step
-      run_step(*fresh, data_cold, cold_weights);
+      run_step(warm, data_warm, warm_weights, warm_results);
+      auto fresh = make_layer();  // cold storage every step
+      run_step(*fresh, data_cold, cold_weights, cold_results);
     }
   }
 
+  ASSERT_EQ(warm_results.size(), cold_results.size());
+  EXPECT_EQ(0, std::memcmp(warm_results.data(), cold_results.data(),
+                           warm_results.size() * sizeof(float)))
+      << "outputs or input gradients diverged between warm and cold storage";
   ASSERT_EQ(warm_weights.size(), cold_weights.size());
   for (std::size_t i = 0; i < warm_weights.size(); ++i) {
     ASSERT_EQ(warm_weights[i].size(), cold_weights[i].size());
     EXPECT_EQ(0, std::memcmp(warm_weights[i].data(), cold_weights[i].data(),
                              warm_weights[i].size() * sizeof(float)))
-        << "param " << i << " diverged between warm and cold arenas";
+        << "param " << i << " diverged between warm and cold storage";
   }
 }
 
@@ -162,6 +176,31 @@ TEST(Workspace, Conv2DReuseIsBitIdenticalToPerStepAllocation) {
   check_reuse_determinism(
       [] { return std::make_unique<Conv2D>(3, 5, 3, 3, 2, 1); },
       Shape{2, 3, 9, 9}, Shape{2, 5, 5, 5}, 43);
+}
+
+TEST(Workspace, BatchNormReuseIsBitIdenticalToPerStepAllocation) {
+  {
+    SCOPED_TRACE("rank 2");
+    check_reuse_determinism([] { return std::make_unique<BatchNorm>(7); },
+                            Shape{6, 7}, Shape{6, 7}, 44);
+  }
+  {
+    SCOPED_TRACE("rank 4");
+    check_reuse_determinism([] { return std::make_unique<BatchNorm>(3); },
+                            Shape{2, 3, 5, 4}, Shape{2, 3, 5, 4}, 45);
+  }
+}
+
+TEST(Workspace, ConvTranspose2DReuseIsBitIdenticalToPerStepAllocation) {
+  check_reuse_determinism(
+      [] { return std::make_unique<ConvTranspose2D>(4, 3, 4, 4, 2, 1); },
+      Shape{2, 4, 5, 5}, Shape{2, 3, 10, 10}, 46);
+}
+
+TEST(Workspace, MinibatchDiscriminationReuseIsBitIdenticalToPerStepAllocation) {
+  check_reuse_determinism(
+      [] { return std::make_unique<MinibatchDiscrimination>(10, 4, 3); },
+      Shape{5, 10}, Shape{5, 14}, 47);
 }
 
 }  // namespace

@@ -17,13 +17,11 @@
 #include <vector>
 
 #include "common/alloc_tracker.hpp"
-#include "obs/json_lint.hpp"
+#include "obs/json.hpp"
 #include "obs/sink.hpp"
 
 namespace mdgan::obs {
 namespace {
-
-using testing::json_well_formed;
 
 std::vector<std::string> lines_of(const std::string& text) {
   std::vector<std::string> out;
@@ -97,7 +95,7 @@ TEST(FlightRecorder, JsonlLinesAreWellFormedAndCarryTheSchema) {
   ASSERT_EQ(lines.size(), 3u);
   std::string err;
   for (const std::string& line : lines) {
-    EXPECT_TRUE(json_well_formed(line, &err)) << err << "\n" << line;
+    EXPECT_TRUE(json::parse(line, nullptr, &err)) << err << "\n" << line;
   }
   EXPECT_NE(lines[0].find("\"kind\":\"death\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"node\":3"), std::string::npos);
@@ -184,7 +182,7 @@ TEST(Sink, FatalDumpLeavesFlightAndMetricsArtifacts) {
   ASSERT_EQ(flines.size(), 2u);
   std::string err;
   for (const std::string& line : flines) {
-    EXPECT_TRUE(json_well_formed(line, &err)) << err << "\n" << line;
+    EXPECT_TRUE(json::parse(line, nullptr, &err)) << err << "\n" << line;
   }
   EXPECT_NE(flines[0].find("\"kind\":\"death\""), std::string::npos);
   EXPECT_NE(flines[1].find("\"kind\":\"epoch\""), std::string::npos);
@@ -193,7 +191,8 @@ TEST(Sink, FatalDumpLeavesFlightAndMetricsArtifacts) {
   ASSERT_FALSE(metrics.empty());
   const std::vector<std::string> mlines = lines_of(metrics);
   const std::string& fatal_line = mlines.back();
-  EXPECT_TRUE(json_well_formed(fatal_line, &err)) << err << "\n" << fatal_line;
+  EXPECT_TRUE(json::parse(fatal_line, nullptr, &err))
+      << err << "\n" << fatal_line;
   EXPECT_NE(fatal_line.find("\"kind\":\"fatal\""), std::string::npos);
   EXPECT_NE(fatal_line.find("rounds_total"), std::string::npos);
 

@@ -9,13 +9,11 @@
 #include "core/md_gan.hpp"
 #include "data/synthetic.hpp"
 #include "dist/sim_network.hpp"
+#include "obs/json.hpp"
 #include "obs/sink.hpp"
-#include "obs/json_lint.hpp"
 
 namespace mdgan::obs {
 namespace {
-
-using testing::json_well_formed;
 
 TEST(Registry, CounterGetOrCreateReturnsSameInstance) {
   Registry r;
@@ -85,7 +83,7 @@ TEST(Registry, SnapshotIsWellFormedSingleLineJson) {
                         /*sim_s=*/0.5);
   const std::string line = os.str();
   std::string err;
-  EXPECT_TRUE(json_well_formed(line, &err)) << err << "\n" << line;
+  EXPECT_TRUE(json::parse(line, nullptr, &err)) << err << "\n" << line;
   EXPECT_EQ(line.find('\n'), std::string::npos) << "snapshot must be one line";
   EXPECT_NE(line.find("\"kind\":\"snapshot\""), std::string::npos);
   EXPECT_NE(line.find("\"rounds_total\":3"), std::string::npos);

@@ -4,6 +4,8 @@
 // same flow id, wall-time merges shift worker files by the estimated
 // clock offsets, and a real TCP loopback cluster (server + 2 workers,
 // three per-endpoint trace files) merges with zero unmatched flows.
+// The JSON parser every trace, metrics line and `!stats` reply goes
+// through rejects whatever RFC 8259 forbids.
 #include "obs/trace_merge.hpp"
 
 #include <gtest/gtest.h>
@@ -14,14 +16,12 @@
 #include <vector>
 
 #include "dist/tcp_network.hpp"
-#include "obs/json_lint.hpp"
+#include "obs/json.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
 
 namespace mdgan::obs {
 namespace {
-
-using testing::json_well_formed;
 
 std::size_t count_occurrences(const std::string& hay,
                               const std::string& needle) {
@@ -70,6 +70,38 @@ std::string sim_trace_doc(std::int64_t wall_skew_ns) {
   return os.str();
 }
 
+TEST(Json, ParseRejectsWhatRfc8259Forbids) {
+  const std::vector<std::string> bad = {
+      // A raw control character inside a string.
+      std::string("\"a\x01z\""), "\"tab\there\"", "[\"line\nbreak\"]",
+      // A sign, point or exponent marker with no digit after it, and a
+      // leading zero.
+      "-", "[-]", "-x", "01", "1.", "1.e5", "[1.]", ".5", "1e", "1e+",
+      "[1E-]",
+      // Trailing garbage.
+      "{} x", "1 2", "[1]]", "\"s\"\"",
+      // Lone surrogates.
+      "\"\\ud800\"", "\"\\udc00\"", "\"\\ud800\\u0041\""};
+  for (const std::string& text : bad) {
+    std::string err;
+    EXPECT_FALSE(json::parse(text, nullptr, &err)) << text;
+    EXPECT_FALSE(err.empty()) << text;
+  }
+
+  const std::vector<std::pair<std::string, double>> good = {
+      {"0", 0.0}, {"-0", -0.0}, {"-3", -3.0}, {"12.5e-1", 1.25},
+      {"1E+2", 100.0}};
+  for (const auto& [text, want] : good) {
+    json::Value v;
+    std::string err;
+    ASSERT_TRUE(json::parse(text, &v, &err)) << text << ": " << err;
+    EXPECT_EQ(v.number, want) << text;
+  }
+  json::Value v;
+  ASSERT_TRUE(json::parse("\"\\u00e9\\ud83d\\ude00\"", &v, nullptr));
+  EXPECT_EQ(v.string, "\xc3\xa9\xf0\x9f\x98\x80");
+}
+
 TEST(TraceMerge, VirtualMergeIsByteDeterministicAcrossWallJitter) {
   const std::string run_a = sim_trace_doc(/*wall_skew_ns=*/0);
   const std::string run_b = sim_trace_doc(/*wall_skew_ns=*/987654321);
@@ -89,7 +121,7 @@ TEST(TraceMerge, VirtualMergeIsByteDeterministicAcrossWallJitter) {
   EXPECT_EQ(st_a.flows_bound, 1u);
   EXPECT_EQ(st_a.flows_unmatched, 0u);
   EXPECT_EQ(st_a.dropped_no_sim, 0u);
-  EXPECT_TRUE(json_well_formed(out_a.str(), &err)) << err;
+  EXPECT_TRUE(json::parse(out_a.str(), nullptr, &err)) << err;
   // kAuto resolves to virtual for a single input: identical output.
   std::ostringstream out_auto;
   ASSERT_TRUE(
@@ -124,7 +156,7 @@ TEST(TraceMerge, FlowArrowsBindRecvToItsSendAndCountOrphans) {
   EXPECT_EQ(st.flows_unmatched, 1u);
 
   const std::string merged = out.str();
-  EXPECT_TRUE(json_well_formed(merged, &err)) << err;
+  EXPECT_TRUE(json::parse(merged, nullptr, &err)) << err;
   // Exactly one arrow pair, carrying the bound flow's id.
   EXPECT_EQ(count_occurrences(merged, "\"ph\":\"s\""), 1u);
   EXPECT_EQ(count_occurrences(merged, "\"ph\":\"f\""), 1u);
@@ -224,7 +256,7 @@ TEST(TraceMerge, TcpLoopbackClusterMergesWithZeroUnmatchedFlows) {
                            MergeTime::kWall, out, &st, &err))
       << err;
   const std::string merged = out.str();
-  EXPECT_TRUE(json_well_formed(merged, &err)) << err;
+  EXPECT_TRUE(json::parse(merged, nullptr, &err)) << err;
 
   // Every receive bound, none orphaned; at least the three user frames.
   EXPECT_EQ(st.flows_unmatched, 0u);
