@@ -168,7 +168,7 @@ void bench_conv2d_forward(Harness& h) {
     // 32x32, k3 s2 p1 -> 16x16 output; gemm is (b*256, 27) x (27, 16).
     h.run("BM_Conv2DForward/" + std::to_string(b),
           2.0 * static_cast<double>(b) * 256 * 27 * 16, [&] {
-            Tensor y = conv.forward(x, true);
+            const Tensor& y = conv.forward(x, true);
             volatile float sink = y[0];
             (void)sink;
           });
@@ -193,7 +193,7 @@ void bench_mlp_generator_forward(Harness& h) {
     auto g = gan::build_generator(arch, rng);
     Tensor z = Tensor::randn({b, arch.latent_dim}, rng);
     h.run("BM_MlpGeneratorForward/" + std::to_string(b), 0, [&] {
-      Tensor x = g.forward(z, true);
+      const Tensor& x = g.forward(z, true);
       volatile float sink = x[0];
       (void)sink;
     });
@@ -210,7 +210,7 @@ void bench_worker_feedback(Harness& h) {
     Tensor x = Tensor::randn({b, arch.image_dim()}, rng);
     std::vector<int> labels(b, 3);
     h.run("BM_WorkerFeedback/" + std::to_string(b), 0, [&] {
-      Tensor f = gan::generator_feedback(d, x, &labels, false);
+      const Tensor& f = gan::generator_feedback(d, x, &labels, false);
       volatile float sink = f[0];
       (void)sink;
     });
@@ -415,9 +415,8 @@ void bench_obs(Harness& h) {
   // null/enabled branch only, ~0 ns and zero allocations — the
   // zero-overhead-when-off contract the obs tests pin. Counter inc: one
   // relaxed atomic RMW through a cached pointer.
-  obs::SinkConfig sc;
-  sc.force_trace = true;
-  obs::Sink enabled_sink(sc);
+  obs::Sink enabled_sink;
+  enabled_sink.tracer().set_enabled(true);
   // The per-thread buffer cap bounds memory: once the bench saturates
   // it, a span degrades to the (cheaper) overflow-drop path, so the
   // figure blends push and drop — both are live-tracer costs.
@@ -427,7 +426,7 @@ void bench_obs(Harness& h) {
     (void)sink;
   });
 
-  obs::Sink disabled_sink;  // no trace path, no force_trace => disabled
+  obs::Sink disabled_sink;  // no trace path => disabled
   h.run("BM_SpanStartStopDisabled", 0, [&] {
     obs::Span s(&disabled_sink.tracer(), "bench", obs::Cat::kPhase, 0);
     volatile bool sink = s.active();

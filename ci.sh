@@ -36,10 +36,12 @@ wait_ok() {
 }
 
 # `ci.sh --tsan`: ThreadSanitizer pass over the concurrency-heavy
-# common/dist/core tests (the compute pool's callers and threads sharing
-# each job's chunks, each endpoint's event loop against the engine
-# threads that send into its connection queues and block on their
-# backpressure, mark_dead vs close) in its own build tree, then a
+# common/dist/core/obs tests and FL-GAN (the compute pool's callers and
+# threads sharing each job's chunks, each endpoint's event loop against
+# the engine threads that send into its connection queues and block on
+# their backpressure, mark_dead vs close, a sink attached to a live
+# endpoint, traced sim runs and FL-GAN local steps fanning their workers
+# out on the pool) in its own build tree, then a
 # heartbeat-enabled loopback run — the ping/pong timer, the liveness
 # tracker and the event loops all under the race detector at once — and
 # exit.
@@ -47,7 +49,8 @@ if [ "${1:-}" = "--tsan" ]; then
   cmake -B build-tsan -S . -DMDGAN_TSAN=ON \
     -DMDGAN_BUILD_BENCHES=OFF -DMDGAN_BUILD_EXAMPLES=ON
   cmake --build build-tsan -j"$(nproc)"
-  cd build-tsan && ctest --output-on-failure -R '^(common|dist|core)_'
+  cd build-tsan && ctest --output-on-failure \
+    -R '^(common|dist|core|obs)_|^gan_test_fl_gan$'
   echo "--- tsan smoke: heartbeat-enabled loopback run"
   HB_FLAGS="--workers=2 --iters=3 --heartbeat-ms=50 --suspect-ms=300 \
     --grace-ms=2000 --recv-timeout=60"

@@ -168,7 +168,6 @@ NodeConfig parse_training_flags(const CliFlags& flags) {
       flags.get_int("k", static_cast<std::int64_t>(
                              std::min<std::size_t>(2, nc.workers))));
   nc.cfg.swap_enabled = flags.get_bool("swap", true);
-  nc.cfg.parallel_workers = false;
   nc.cfg.async = core::server_mode_from_name(flags.get(
                      "server-mode", "sync")) == core::ServerMode::kAsync;
   if (flags.has("max-staleness")) {

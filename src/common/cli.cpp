@@ -53,11 +53,4 @@ bool CliFlags::get_bool(const std::string& name, bool def) const {
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
-std::vector<std::string> CliFlags::flag_names() const {
-  std::vector<std::string> names;
-  names.reserve(flags_.size());
-  for (const auto& [k, _] : flags_) names.push_back(k);
-  return names;
-}
-
 }  // namespace mdgan

@@ -12,9 +12,8 @@ namespace mdgan {
 
 class CliFlags {
  public:
-  // Parses argv; unknown flags are kept and retrievable, so callers can
-  // validate. Accepts "--name=value", "--name value" and bare "--name"
-  // (boolean true).
+  // Parses argv. Accepts "--name=value", "--name value" and bare
+  // "--name" (boolean true); a flag no caller asks for is ignored.
   CliFlags(int argc, const char* const* argv);
 
   bool has(const std::string& name) const;
@@ -24,7 +23,6 @@ class CliFlags {
   bool get_bool(const std::string& name, bool def = false) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
-  std::vector<std::string> flag_names() const;
 
  private:
   std::map<std::string, std::string> flags_;

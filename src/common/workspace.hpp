@@ -45,14 +45,6 @@ class Workspace {
   // Rewinds the cursor; storage (and slot addresses) are retained.
   void reset() { cursor_ = 0; }
 
-  std::size_t slots() const { return slots_.size(); }
-
-  std::size_t capacity_bytes() const {
-    std::size_t total = 0;
-    for (const auto& t : slots_) total += t->vec().capacity() * sizeof(float);
-    return total;
-  }
-
  private:
   Tensor& next_slot() {
     if (cursor_ == slots_.size()) {

@@ -265,10 +265,9 @@ void MdGan::local_work(const std::vector<std::size_t>& discs) {
   for (std::size_t j : discs) {
     if (role_.hosts(discs_[j].holder)) hosted_.push_back(static_cast<int>(j));
   }
-  dist::for_each_worker(
-      hosted_,
-      [this](int j) { worker_iteration(static_cast<std::size_t>(j)); },
-      cfg_.parallel_workers);
+  dist::for_each_worker(hosted_, [this](int j) {
+    worker_iteration(static_cast<std::size_t>(j));
+  });
 }
 
 std::optional<dist::Message> receive_resilient(dist::Transport& net, int node,
@@ -363,7 +362,8 @@ void MdGan::worker_iteration(std::size_t disc_index) {
   ByteBuffer buf;
   buf.write_pod<std::uint32_t>(gi);
   dist::compress(feedback.vec(), cfg_.feedback_compression, buf);
-  net_.send(disc.holder, dist::kServerId, "feedback", std::move(buf));
+  net_.send(disc.holder, dist::kServerId, dist::kFeedbackTag,
+            std::move(buf));
 }
 
 MdGan::Feedback MdGan::decode_feedback(dist::Message& msg,

@@ -112,7 +112,6 @@ struct MdGanConfig {
   std::size_t k = 1;                // generated batches per iteration
   std::size_t epochs_per_swap = 1;  // E
   bool swap_enabled = true;         // false reproduces Fig. 4's dotted
-  bool parallel_workers = true;
   // 0 = one discriminator per worker (the paper's evaluated setup);
   // any value in [1, N] enables the §VII-4 sparse-discriminator mode.
   std::size_t n_discriminators = 0;
@@ -298,7 +297,7 @@ class MdGan : private RoundDelegate {
                  std::size_t k_eff) override;
   // Worker-side phase of one round: one worker_iteration per
   // participant whose holder this process hosts (NodeRole::hosts),
-  // fanned out over the compute pool when cfg.parallel_workers is set.
+  // fanned out over the compute pool (a worker role's one runs inline).
   void local_work(const std::vector<std::size_t>& discs) override;
   // Sync server reduce: averages all feedbacks per batch, one Adam
   // step. Feedbacks are folded in sender order regardless of arrival

@@ -7,6 +7,16 @@
 
 namespace mdgan::core {
 
+namespace {
+
+// How long a SCHEDULED crash-rejoin waits at the admission round for the
+// restarted worker to reconnect (Transport::await_alive). Pins the
+// admission round across roles when the rejoiner is a real process
+// restart; a no-op in simulation, where await_alive returns at once.
+constexpr double kReadmitWaitS = 30.0;
+
+}  // namespace
+
 ServerMode server_mode_from_name(const std::string& name) {
   if (name == "sync") return ServerMode::kSync;
   if (name == "async") return ServerMode::kAsync;
@@ -184,8 +194,8 @@ bool RoundEngine::process_membership(std::int64_t iter) {
       // Scheduled crash-rejoin, real transport: the worker's old
       // incarnation is gone and the restarted one may still be dialing.
       // Wait for it so the admission round is the scheduled one on
-      // every role. (In simulation await_alive returns immediately.)
-      alive = net_.await_alive(w, cfg_.readmit_wait_s);
+      // every role.
+      alive = net_.await_alive(w, kReadmitWaitS);
     }
     const bool scheduled =
         availability_ == nullptr || availability_->present(w, iter);
@@ -337,8 +347,8 @@ std::optional<dist::Message> RoundEngine::collect_one(
     // that died AFTER shipping its feedback must still be folded — the
     // transport's per-connection FIFO enqueued the message before the
     // EOF that killed it.
-    if (auto msg = net_.try_receive_tagged(dist::kServerId,
-                                           cfg_.feedback_tag)) {
+    if (auto msg =
+            net_.try_receive_tagged(dist::kServerId, dist::kFeedbackTag)) {
       return deliver(std::move(*msg));
     }
     // Nothing queued: a dead waiting sender can never deliver anymore.
@@ -371,7 +381,7 @@ std::optional<dist::Message> RoundEngine::collect_one(
     // real timeout from a membership wake-up: on a bump the transport
     // returns nullopt early so this loop re-checks liveness above.
     const std::uint64_t epoch0 = net_.membership_epoch();
-    if (auto msg = net_.receive_tagged(dist::kServerId, cfg_.feedback_tag)) {
+    if (auto msg = net_.receive_tagged(dist::kServerId, dist::kFeedbackTag)) {
       return deliver(std::move(*msg));
     }
     if (net_.membership_epoch() == epoch0) {

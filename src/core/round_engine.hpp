@@ -113,20 +113,12 @@ class RoundDelegate {
   // scheduled crash-rejoin) is re-admitted at `iter`. The delegate
   // rebirths the worker's discriminator deterministically from
   // (worker, iter) — shared knowledge, so every role derives the same
-  // parameters. Default forwards to on_join for delegates that predate
-  // state transfer.
-  virtual void on_readmit(int worker, std::int64_t iter) {
-    on_join(worker, iter);
-  }
+  // parameters.
+  virtual void on_readmit(int worker, std::int64_t iter) = 0;
   // Server roles only: the opaque `!state` payload shipped to a
   // re-admitted worker (see core/rejoin.hpp). Called after on_readmit,
   // so the serialized holder map already reflects the re-admission.
-  // Default: empty payload (nothing to transfer).
-  virtual ByteBuffer make_rejoin_state(int worker, std::int64_t iter) {
-    (void)worker;
-    (void)iter;
-    return {};
-  }
+  virtual ByteBuffer make_rejoin_state(int worker, std::int64_t iter) = 0;
 
   // The round's participants: indices of the discriminators hosted by
   // the given present workers, in a deterministic order.
@@ -180,14 +172,6 @@ struct RoundEngineConfig {
   // staleness exceeds this many applied steps. SIZE_MAX disables the
   // guard — every feedback is applied, the pre-engine §VII-1 behavior.
   std::size_t max_staleness = static_cast<std::size_t>(-1);
-  // Tag of the worker->server feedback messages the collect loop pops.
-  std::string feedback_tag = "feedback";
-  // How long a SCHEDULED crash-rejoin waits at the admission round for
-  // the restarted worker to reconnect (Transport::await_alive). Pins
-  // the admission round across roles when the rejoiner is a real
-  // process restart; a no-op in simulation (await_alive returns
-  // immediately there).
-  double readmit_wait_s = 30.0;
   // Optional telemetry sink (not owned, may outlive-the-run null = off):
   // the engine emits one kRound span per round plus one kPhase span per
   // phase, observes round_duration_seconds and feedback_staleness,

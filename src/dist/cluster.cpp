@@ -9,8 +9,8 @@
 namespace mdgan::dist {
 
 void for_each_worker(const std::vector<int>& ids,
-                     const std::function<void(int)>& fn, bool parallel) {
-  if (!parallel || ids.size() < 2) {
+                     const std::function<void(int)>& fn) {
+  if (ids.size() < 2) {
     for (int id : ids) fn(id);
     return;
   }

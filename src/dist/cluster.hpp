@@ -18,13 +18,12 @@
 
 namespace mdgan::dist {
 
-// Applies fn to every id. parallel=false (or a single id) runs inline
-// in order; parallel=true fans out over the global pool and blocks
-// until all ids are done. The first exception thrown by any fn is
-// rethrown after every task has finished, so no worker body is ever
-// abandoned mid-flight.
+// Applies fn to every id: a single id runs inline, more fan out over
+// the global pool, and the call blocks until all ids are done. The
+// first exception thrown by any fn is rethrown after every task has
+// finished, so no worker body is ever abandoned mid-flight.
 void for_each_worker(const std::vector<int>& ids,
-                     const std::function<void(int)>& fn, bool parallel);
+                     const std::function<void(int)>& fn);
 
 // Snapshot of every node's simulated clock. Take one before and one
 // after a round and subtract to get the round's per-node elapsed time;

@@ -104,7 +104,8 @@ Frame decode_frame_body(const std::uint8_t* body, std::size_t len) {
   return f;
 }
 
-FrameReader::Status FrameReader::read(int fd, Frame& out) {
+FrameReader::Status FrameReader::read(int fd, Frame& out,
+                                      std::uint32_t max_body) {
   for (;;) {
     std::uint8_t* dst = fixed_;
     std::size_t want = kFrameHeaderBytes;
@@ -137,6 +138,7 @@ FrameReader::Status FrameReader::read(int fd, Frame& out) {
       } catch (const std::exception&) {
         return Status::kClosed;
       }
+      if (body_len_ > max_body) return Status::kClosed;
       stage_ = Stage::kFixed;
     } else if (stage_ == Stage::kFixed) {
       const std::uint8_t* b = fixed_ + kFrameHeaderBytes;

@@ -98,6 +98,13 @@ inline constexpr std::uint32_t kMaxFrameBodyBytes = 1u << 30;
 // allocated — otherwise a garbage header could still drive a
 // body_len-sized (up to 1 GiB) tag allocation.
 inline constexpr std::uint32_t kMaxFrameTagBytes = 256;
+// The largest body a connection may announce before its hello: a
+// `!hello` (worker id u32 + cluster size u64) or an empty `!stats`
+// probe, under a tag of up to kMaxFrameTagBytes. A bigger frame from a
+// stranger is refused before anything is allocated for it.
+inline constexpr std::uint32_t kMaxPreHelloBodyBytes =
+    static_cast<std::uint32_t>(kFrameBodyFixedBytes) + kMaxFrameTagBytes +
+    12;
 
 // Prefix of every transport-internal control tag.
 inline constexpr char kControlTagPrefix = '!';
@@ -173,10 +180,10 @@ Frame decode_frame_body(const std::uint8_t* body, std::size_t len);
 // straight into the buffer the Frame's ByteBuffer adopts (the
 // payload bytes, the bulk of a swap frame, are copied off the socket
 // exactly once) — and keeps its place across calls, so a frame may
-// arrive split at any byte. A malformed header (bad magic, oversize
-// body_len, tag overrun) is rejected BEFORE any payload allocation, so
-// a corrupt or adversarial stream can neither crash the reader nor
-// drive a giant allocation.
+// arrive split at any byte. A malformed header (bad magic, a body_len
+// over `max_body`, tag overrun) is rejected BEFORE any payload
+// allocation, so a corrupt or adversarial stream can neither crash the
+// reader nor drive a giant allocation.
 class FrameReader {
  public:
   enum class Status {
@@ -184,7 +191,11 @@ class FrameReader {
     kAgain,   // no more bytes for now (EAGAIN, or an SO_RCVTIMEO expiry)
     kClosed,  // EOF, a socket error, or bytes that are not a valid frame
   };
-  Status read(int fd, Frame& out);
+  // `max_body` bounds the body_len a header may announce; it applies
+  // when a header is parsed. A connection that has not said hello yet
+  // passes kMaxPreHelloBodyBytes.
+  Status read(int fd, Frame& out,
+              std::uint32_t max_body = kMaxFrameBodyBytes);
 
  private:
   enum class Stage { kHeader, kFixed, kTag, kPayload };

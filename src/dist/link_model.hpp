@@ -63,10 +63,6 @@ class LinkModel {
   explicit LinkModel(const LinkParams& all_links, std::uint64_t seed = 0)
       : default_(all_links), seed_(seed) {}
 
-  LinkModel& set_default(const LinkParams& p) {
-    default_ = p;
-    return *this;
-  }
   // Directed per-link override; wins over the default.
   LinkModel& set_link(int from, int to, const LinkParams& p) {
     overrides_[{from, to}] = p;

@@ -9,14 +9,15 @@
 // the traffic counters are charged immediately (messages are always
 // consumed later in the same global iteration). receive_tagged() pops
 // the matching message with the lowest (sender, per-sender sequence)
-// key, NOT physical arrival order: under parallel worker execution the
-// physical enqueue order is racy, and deterministic pop order is what
-// keeps parallel and sequential runs bit-identical
-// (tests/core/test_md_gan.cpp ParallelAndSequential). A corollary the
-// protocols rely on: two sends issued by the same sender in program
-// order are queued in that order under one mutex (dist::Mailbox), so
-// per-sender FIFO holds even when sends race on the cluster thread
-// pool (tests/dist/test_network.cpp SameSenderFifoUnderClusterPool).
+// key, NOT physical arrival order: the workers run on the compute pool,
+// so the physical enqueue order is racy, and deterministic pop order is
+// what keeps a pooled run bit-identical to a serial one
+// (tests/core/test_round_engine.cpp, RoundEngineMdGan.*Reference*). A
+// corollary the protocols rely on: two sends issued by the same sender
+// in program order are queued in that order under one mutex
+// (dist::Mailbox), so per-sender FIFO holds even when sends race on the
+// cluster thread pool (tests/dist/test_network.cpp
+// SameSenderFifoUnderClusterPool).
 //
 // Simulated time: the SimNetwork also keeps a deterministic virtual
 // clock per node, driven by the attached LinkModel (default: the zero

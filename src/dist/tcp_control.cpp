@@ -37,12 +37,13 @@ const char* peer_state_name(PeerState s) {
 }  // namespace
 
 std::string TcpNetwork::stats_json() {
-  obs::Sink* sink = this->sink();
+  obs::Sink* sink = nullptr;  // set_sink swaps it under mu_
   std::ostringstream os;
   os << "{\"kind\":\"stats\",\"node\":" << local_
      << ",\"n_workers\":" << n_workers_;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    sink = this->sink();
     os << ",\"epoch\":" << epoch_
        << ",\"round\":" << (sink != nullptr ? sink->live_round() : -1)
        << ",\"phase\":\""

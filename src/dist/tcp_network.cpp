@@ -318,7 +318,8 @@ void TcpNetwork::run_loop() {
 void TcpNetwork::on_readable(Conn& c, bool hangup) {
   for (;;) {
     Frame f;
-    const FrameReader::Status st = c.reader.read(c.fd, f);
+    const FrameReader::Status st = c.reader.read(
+        c.fd, f, c.peer < 0 ? kMaxPreHelloBodyBytes : kMaxFrameBodyBytes);
     if (st == FrameReader::Status::kAgain) return;
     if (st == FrameReader::Status::kClosed) {
       std::lock_guard<std::mutex> lock(mu_);

@@ -309,6 +309,9 @@ class TcpNetwork final : public Transport {
   void charge_locked(int src, int dst, const std::string& tag,
                      std::size_t bytes);
   void on_sink_attached() override;
+  std::unique_lock<std::mutex> lock_instruments() override {
+    return std::unique_lock<std::mutex>(mu_);
+  }
 
   // --- the membership control plane (tcp_control.cpp) ------------------
   // Loop thread, on its timer: stale hellos; on the server also the

@@ -67,6 +67,17 @@ const char* link_label(LinkKind kind) {
 }
 
 void Transport::set_sink(obs::Sink* sink) {
+  // Read before the lock: a backend may take the same lock to answer.
+  const std::uint64_t epoch = membership_epoch();
+  {
+    const auto lock = lock_instruments();
+    bind_instruments(sink, epoch);
+  }
+  // Let the backend flush anything it counted before the sink existed.
+  if (sink != nullptr) on_sink_attached();
+}
+
+void Transport::bind_instruments(obs::Sink* sink, std::uint64_t epoch) {
   sink_ = sink;
   if (sink_ == nullptr) {
     for (auto& l : link_obs_) l = {};
@@ -111,9 +122,7 @@ void Transport::set_sink(obs::Sink* sink) {
   // An endpoint may attach the sink after membership already changed
   // (MdGan::train attaches on entry); publish the current epoch so the
   // gauge never reads behind the counter it summarizes.
-  obs_membership_epoch(membership_epoch());
-  // Let the backend flush anything it counted before the sink existed.
-  on_sink_attached();
+  obs_membership_epoch(epoch);
 }
 
 }  // namespace mdgan::dist

@@ -36,6 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -48,6 +49,11 @@ namespace mdgan::dist {
 
 // Node id of the central server; workers are 1-based (1..N).
 inline constexpr int kServerId = 0;
+
+// Tag of the worker->server feedback messages (F_n): the workers send
+// it, the round engine's collect loop pops it, and the registry counts
+// its bytes as feedback_bytes_total{link}.
+inline constexpr char kFeedbackTag[] = "feedback";
 
 // Link direction classes of the paper's Table III.
 enum class LinkKind { kServerToWorker, kWorkerToServer, kWorkerToWorker };
@@ -291,12 +297,14 @@ class Transport {
   // Attaches a telemetry sink (nullptr detaches, the default): every
   // charged send increments the registry's bytes_total{link} /
   // messages_total{link} counters (plus feedback_bytes_total{link} for
-  // "feedback"-tagged traffic, which therefore matches the accountant's
+  // kFeedbackTag traffic, which therefore matches the accountant's
   // totals exactly on the links feedback crosses), and — when the
   // sink's tracer is enabled — both backends record per-frame send/recv
-  // trace events. Attach BEFORE traffic flows; the sink must outlive
-  // the attachment. Detached (the default) instrumentation costs one
-  // branch and allocates nothing.
+  // trace events. The backend's own threads may already be running: the
+  // instruments are swapped under the lock those threads hold while
+  // they read them (lock_instruments). The sink must outlive the
+  // attachment. Detached (the default) instrumentation costs one branch
+  // and allocates nothing.
   void set_sink(obs::Sink* sink);
   obs::Sink* sink() const { return sink_; }
 
@@ -311,7 +319,7 @@ class Transport {
     const auto k = static_cast<std::size_t>(kind);
     link_obs_[k].bytes->inc(bytes);
     link_obs_[k].messages->inc();
-    if (tag == "feedback") link_obs_[k].feedback_bytes->inc(bytes);
+    if (tag == kFeedbackTag) link_obs_[k].feedback_bytes->inc(bytes);
   }
   // The attached tracer when span recording is on, else nullptr.
   obs::Tracer* obs_tracer() const {
@@ -423,8 +431,17 @@ class Transport {
   // events before the sink attached (TcpNetwork's dial retries happen
   // inside connect(), necessarily pre-attach) flushes them here.
   virtual void on_sink_attached() {}
+  // The lock under which set_sink swaps the instrument pointers: the
+  // one a backend's own threads hold whenever they read them
+  // (TcpNetwork's event loop reads them under its mutex). The default
+  // holds nothing, for backends whose instruments only callers read.
+  virtual std::unique_lock<std::mutex> lock_instruments() { return {}; }
 
  private:
+  // set_sink's body, under lock_instruments(): points every instrument
+  // at `sink` (or nulls them) and publishes `epoch` on the gauge.
+  void bind_instruments(obs::Sink* sink, std::uint64_t epoch);
+
   struct LinkObs {
     obs::Counter* bytes = nullptr;
     obs::Counter* messages = nullptr;

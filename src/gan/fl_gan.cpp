@@ -115,14 +115,11 @@ void FlGan::train(std::int64_t iters, std::int64_t eval_every,
     for (std::size_t n = 1; n <= workers_.size(); ++n) {
       ids.push_back(static_cast<int>(n));
     }
-    dist::for_each_worker(
-        ids,
-        [this](int id) {
-          Worker& w = *workers_[id - 1];
-          local_gan_step(w.shard, w.rng, w.g, *w.g_opt, w.d, *w.d_opt, arch_,
-                         codes_, cfg_.hp);
-        },
-        cfg_.parallel_workers);
+    dist::for_each_worker(ids, [this](int id) {
+      Worker& w = *workers_[id - 1];
+      local_gan_step(w.shard, w.rng, w.g, *w.g_opt, w.d, *w.d_opt, arch_,
+                     codes_, cfg_.hp);
+    });
     if (i % round == 0) synchronize();
     if (hook && eval_every > 0 && (i % eval_every == 0 || i == iters)) {
       nn::Sequential avg = server_generator();

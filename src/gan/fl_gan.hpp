@@ -20,7 +20,6 @@ namespace mdgan::gan {
 struct FlGanConfig {
   GanHyperParams hp;
   std::size_t epochs_per_round = 1;  // E
-  bool parallel_workers = true;
 };
 
 class FlGan {

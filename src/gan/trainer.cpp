@@ -5,7 +5,7 @@
 namespace mdgan::gan {
 
 DiscStepStats disc_learning_step(nn::Sequential& disc,
-                                 opt::Optimizer& d_opt, const Tensor& x_real,
+                                 opt::Adam& d_opt, const Tensor& x_real,
                                  const std::vector<int>& y_real,
                                  const Tensor& x_fake,
                                  const std::vector<int>& y_fake,
@@ -49,8 +49,8 @@ const Tensor& generator_feedback(nn::Sequential& disc, const Tensor& x_fake,
 }
 
 void local_gan_step(const data::InMemoryDataset& data, Rng& rng,
-                    nn::Sequential& g, opt::Optimizer& g_opt,
-                    nn::Sequential& d, opt::Optimizer& d_opt,
+                    nn::Sequential& g, opt::Adam& g_opt,
+                    nn::Sequential& d, opt::Adam& d_opt,
                     const GanArch& arch, const ClassCodes& codes,
                     const GanHyperParams& hp) {
   // Discriminator learning (L inner steps on fresh fakes, same reals —

@@ -41,7 +41,7 @@ struct DiscStepStats {
 // sides forward+backward, then one optimizer step. Gradients are zeroed
 // at entry, so callers never leak gradient state across steps.
 DiscStepStats disc_learning_step(nn::Sequential& disc,
-                                 opt::Optimizer& d_opt, const Tensor& x_real,
+                                 opt::Adam& d_opt, const Tensor& x_real,
                                  const std::vector<int>& y_real,
                                  const Tensor& x_fake,
                                  const std::vector<int>& y_fake, bool acgan);
@@ -60,8 +60,8 @@ const Tensor& generator_feedback(nn::Sequential& disc, const Tensor& x_fake,
 // the discriminator's feedback. Draws from `rng` in a fixed order: the
 // real batch, the fake latents, then the generator's latents.
 void local_gan_step(const data::InMemoryDataset& data, Rng& rng,
-                    nn::Sequential& g, opt::Optimizer& g_opt,
-                    nn::Sequential& d, opt::Optimizer& d_opt,
+                    nn::Sequential& g, opt::Adam& g_opt,
+                    nn::Sequential& d, opt::Adam& d_opt,
                     const GanArch& arch, const ClassCodes& codes,
                     const GanHyperParams& hp);
 

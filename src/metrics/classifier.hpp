@@ -34,7 +34,6 @@ class ScoringClassifier {
   float evaluate_accuracy(const data::InMemoryDataset& test_set);
 
   std::size_t num_classes() const { return num_classes_; }
-  std::size_t feature_dim() const { return cfg_.hidden; }
 
  private:
   ClassifierConfig cfg_;

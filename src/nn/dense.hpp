@@ -11,7 +11,7 @@ namespace mdgan::nn {
 
 class Dense : public Layer {
  public:
-  // Weights are left zero-initialized; use nn::init helpers (He/Xavier)
+  // Weights are left zero-initialized; use nn::init helpers (DCGAN, He)
   // right after construction — builders do this so initialization policy
   // lives in one place.
   Dense(std::size_t in_features, std::size_t out_features);

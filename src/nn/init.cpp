@@ -19,13 +19,6 @@ void he_normal(Tensor& w, std::size_t fan_in, Rng& rng) {
   rng.fill_normal(w.data(), w.numel(), 0.f, stddev);
 }
 
-void xavier_uniform(Tensor& w, std::size_t fan_in, std::size_t fan_out,
-                    Rng& rng) {
-  const float limit =
-      std::sqrt(6.f / static_cast<float>(fan_in + fan_out));
-  rng.fill_uniform(w.data(), w.numel(), -limit, limit);
-}
-
 namespace {
 template <typename Fn>
 void walk_weights(Sequential& model, Fn&& init_weight) {

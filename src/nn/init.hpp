@@ -14,10 +14,6 @@ void normal_init(Tensor& w, float stddev, Rng& rng);
 // He-normal for ReLU-family fan-in.
 void he_normal(Tensor& w, std::size_t fan_in, Rng& rng);
 
-// Xavier/Glorot uniform.
-void xavier_uniform(Tensor& w, std::size_t fan_in, std::size_t fan_out,
-                    Rng& rng);
-
 // Walks a Sequential and initializes every Dense / Conv2D /
 // ConvTranspose2D / MinibatchDiscrimination weight with N(0, 0.02)
 // (biases stay zero, BatchNorm stays (gamma=1, beta=0)).

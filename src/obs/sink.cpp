@@ -13,12 +13,10 @@
 
 namespace mdgan::obs {
 
-Sink::Sink(SinkConfig cfg)
-    : cfg_(std::move(cfg)),
-      flight_(cfg_.flight_capacity) {
-  tracer_.set_enabled(!cfg_.trace_path.empty() || cfg_.force_trace);
+Sink::Sink(SinkConfig cfg) : cfg_(std::move(cfg)) {
+  tracer_.set_enabled(!cfg_.trace_path.empty());
   tracer_.set_capture_compute(cfg_.compute_spans);
-  flight_.set_enabled(!cfg_.flight_path.empty() || cfg_.force_flight);
+  flight_.set_enabled(!cfg_.flight_path.empty());
   // Overflow is never silent: both bounded buffers surface their losses
   // as registry counters, visible in every metrics snapshot.
   spans_dropped_total_ = &registry_.counter("spans_dropped_total");

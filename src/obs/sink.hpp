@@ -6,8 +6,9 @@
 // pinned by tests/obs/).
 //
 // Lifecycle: construct with a SinkConfig naming the output files (empty
-// paths disable that pillar's export; the tracer records in memory only
-// when a trace path — or force_trace for tests — asks for it). The
+// paths disable that pillar's export; the tracer and the flight recorder
+// record in memory only when their path asks for it, or when a caller
+// switches them on with tracer().set_enabled / flight().set_enabled). The
 // engine calls round_completed(iter, sim_s) after every completed
 // round, which appends a JSONL metrics snapshot every
 // `metrics_interval` rounds. finish() — idempotent, also run by the
@@ -44,16 +45,10 @@ struct SinkConfig {
   // Record kCompute spans (GEMM, pool dispatch). High-frequency;
   // off by default so protocol traces stay readable.
   bool compute_spans = false;
-  // Tests: record spans in memory without requiring a trace_path.
-  bool force_trace = false;
   // Flight-recorder JSONL output path; empty = recorder off. Written on
   // finish() and — async-signal-safely — by fatal_dump(), so a dying
   // node still leaves its lifecycle post-mortem.
   std::string flight_path;
-  // Ring capacity (events); rounded up to a power of two.
-  std::size_t flight_capacity = 4096;
-  // Tests: record flight events in memory without requiring a path.
-  bool force_flight = false;
 };
 
 class Sink {
@@ -67,7 +62,6 @@ class Sink {
   Tracer& tracer() { return tracer_; }
   Registry& registry() { return registry_; }
   FlightRecorder& flight() { return flight_; }
-  const SinkConfig& config() const { return cfg_; }
 
   // Engine hook: one completed round. Appends a snapshot line to the
   // metrics stream when the interval divides `iter`, refreshes the

@@ -1,12 +1,23 @@
 #include "opt/adam.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace mdgan::opt {
 
 Adam::Adam(std::vector<Tensor*> params, std::vector<Tensor*> grads,
            AdamConfig config)
-    : Optimizer(std::move(params), std::move(grads)), config_(config) {
+    : params_(std::move(params)), grads_(std::move(grads)), config_(config) {
+  if (params_.size() != grads_.size()) {
+    throw std::invalid_argument("Adam: params/grads count mismatch");
+  }
+  for (std::size_t i = 0; i < params_.size(); ++i) {
+    if (params_[i]->shape() != grads_[i]->shape()) {
+      throw std::invalid_argument("Adam: tensor " + std::to_string(i) +
+                                  " param/grad shape mismatch");
+    }
+  }
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (Tensor* p : params_) {
@@ -41,6 +52,10 @@ void Adam::reset() {
   t_ = 0;
   for (Tensor& m : m_) m.zero();
   for (Tensor& v : v_) v.zero();
+}
+
+void Adam::zero_grad() {
+  for (Tensor* g : grads_) g->zero();
 }
 
 }  // namespace mdgan::opt

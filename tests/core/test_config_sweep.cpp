@@ -44,7 +44,6 @@ TEST_P(MdGanConfigSweep, InvariantsHold) {
   cfg.swap_enabled = c.swap;
   cfg.async = c.async;
   cfg.feedback_compression.kind = c.compression;
-  cfg.parallel_workers = false;
 
   MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,
            std::move(shards), 31, net);

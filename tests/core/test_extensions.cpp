@@ -17,7 +17,6 @@ MdGanConfig base_cfg() {
   MdGanConfig cfg;
   cfg.hp.batch = 8;
   cfg.k = 1;
-  cfg.parallel_workers = false;
   return cfg;
 }
 

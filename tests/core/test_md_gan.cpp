@@ -17,7 +17,6 @@ MdGanConfig tiny_cfg(std::size_t k = 1) {
   cfg.hp.disc_steps = 1;
   cfg.k = k;
   cfg.epochs_per_swap = 1;
-  cfg.parallel_workers = false;  // deterministic order for tests
   return cfg;
 }
 
@@ -215,21 +214,6 @@ TEST(MdGan, EvalHookFires) {
     hooks.push_back(it);
   });
   EXPECT_EQ(hooks, (std::vector<std::int64_t>{2, 4}));
-}
-
-TEST(MdGan, ParallelAndSequentialWorkersAgree) {
-  // Workers touch disjoint state; thread-pool execution must produce
-  // the same result as sequential execution.
-  auto run = [](bool parallel) {
-    dist::SimNetwork net(3);
-    MdGanConfig cfg = tiny_cfg(2);
-    cfg.parallel_workers = parallel;
-    MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,
-             shards_for(3, 16, 13), 47, net);
-    md.train(3);
-    return md.generator().flatten_parameters();
-  };
-  EXPECT_EQ(run(false), run(true));
 }
 
 }  // namespace

@@ -72,7 +72,6 @@ MdGanConfig tiny_cfg() {
   cfg.hp.batch = 8;
   cfg.hp.disc_steps = 1;
   cfg.k = 1;
-  cfg.parallel_workers = false;
   return cfg;
 }
 

@@ -51,6 +51,8 @@ struct ScriptedDelegate : RoundDelegate {
   void on_join(int worker, std::int64_t) override {
     joins.push_back(worker);
   }
+  void on_readmit(int, std::int64_t) override {}
+  ByteBuffer make_rejoin_state(int, std::int64_t) override { return {}; }
   std::vector<std::size_t> participants(
       const std::vector<int>& present) override {
     std::vector<std::size_t> out;
@@ -73,7 +75,7 @@ struct ScriptedDelegate : RoundDelegate {
     for (std::size_t j : discs) {
       ByteBuffer buf;
       buf.write_pod<std::uint32_t>(static_cast<std::uint32_t>(j));
-      net.send(static_cast<int>(j + 1), dist::kServerId, "feedback",
+      net.send(static_cast<int>(j + 1), dist::kServerId, dist::kFeedbackTag,
                std::move(buf));
     }
   }
@@ -343,8 +345,10 @@ TEST(RoundEngine, MissingFeedbackFromLiveWorkerStillThrows) {
 // Straight-line reference implementation of the pre-engine synchronous
 // MD-GAN loop: same seed-derived RNG streams, same SPLIT rule, same
 // sender-ordered fold, same swap replay (θ only, Adam moments reset) —
-// but no Transport, no engine, no MdGan. The engine-driven trainer must
-// reproduce it bit for bit.
+// but no Transport, no engine, no MdGan, and the workers' local steps
+// run one after another in id order. The engine-driven trainer, whose
+// workers run concurrently on the compute pool, must reproduce it bit
+// for bit.
 std::vector<float> reference_sync_train(
     const gan::GanArch& arch, const gan::GanHyperParams& hp, std::size_t k,
     std::vector<data::InMemoryDataset> shards, std::uint64_t seed,
@@ -469,6 +473,8 @@ std::vector<float> reference_sync_train(
   return g.flatten_parameters();
 }
 
+// The pooled trainer equals the serial reference: running the workers
+// concurrently changes no bit of the generator.
 TEST(RoundEngineMdGan, SyncEngineMatchesReferenceTrainerBitForBit) {
   const std::uint64_t seed = 61;
   const std::size_t n = 3, per_shard = 16;
@@ -486,12 +492,12 @@ TEST(RoundEngineMdGan, SyncEngineMatchesReferenceTrainerBitForBit) {
   MdGanConfig cfg;
   cfg.hp = hp;
   cfg.k = 2;
-  cfg.parallel_workers = false;
   MdGan md(arch, cfg, shards, seed, net);
   md.train(iters);
   EXPECT_EQ(md.generator().flatten_parameters(), want);
 }
 
+// Likewise without swaps: pooled workers, serial reference.
 TEST(RoundEngineMdGan, NoSwapSyncAlsoMatchesReference) {
   const std::uint64_t seed = 67;
   const std::size_t n = 2, per_shard = 16;
@@ -509,7 +515,6 @@ TEST(RoundEngineMdGan, NoSwapSyncAlsoMatchesReference) {
   cfg.hp = hp;
   cfg.k = 1;
   cfg.swap_enabled = false;
-  cfg.parallel_workers = false;
   MdGan md(arch, cfg, shards, seed, net);
   md.train(4);
   EXPECT_EQ(md.generator().flatten_parameters(), want);
@@ -520,7 +525,6 @@ TEST(RoundEngineMdGan, AsyncBoundedStalenessCapsUpdates) {
   MdGanConfig cfg;
   cfg.hp.batch = 8;
   cfg.k = 1;
-  cfg.parallel_workers = false;
   cfg.async = true;
   cfg.async_max_staleness = 0;  // only the freshest feedback applies
   MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,
@@ -536,7 +540,6 @@ TEST(RoundEngineMdGan, AsyncStalenessDampingChangesTrajectoryFinitely) {
     MdGanConfig cfg;
     cfg.hp.batch = 8;
     cfg.k = 1;
-    cfg.parallel_workers = false;
     cfg.async = true;
     cfg.async_staleness_damping = damping;
     MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,

@@ -128,7 +128,6 @@ core::MdGanConfig tiny_cfg() {
   cfg.hp.batch = 8;
   cfg.hp.disc_steps = 1;
   cfg.k = 1;
-  cfg.parallel_workers = false;
   return cfg;
 }
 

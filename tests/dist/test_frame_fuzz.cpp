@@ -14,10 +14,12 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <netinet/tcp.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -277,6 +279,42 @@ TEST(FrameFuzz, StalledHelloDoesNotBlockTheRendezvous) {
   EXPECT_LT(waited, 1.0);
   EXPECT_TRUE(server->is_alive(1));
   ::close(fd);
+}
+
+// A stranger's first frame may announce only a hello-sized body. A
+// 42-byte frame head (header, fixed fields, `!hello`) announcing a
+// 256 MiB body is refused from its 8 header bytes, before anything is
+// allocated for it: the connection closes at once instead of holding
+// the announced bytes until the hello deadline, and a real worker still
+// joins afterwards.
+TEST(FrameFuzz, PreHelloFrameCannotAnnounceALargeBody) {
+  TcpOptions opts;
+  opts.rendezvous_timeout_s = 20.0;
+  opts.receive_timeout_s = 20.0;
+  auto server = TcpNetwork::serve(0, 1, opts);
+  const int fd = dial_raw(server->port());
+  timeval tv{2, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  const auto head = encode_frame_head(1, kServerId, kTagHello, 256u << 20);
+  ASSERT_EQ(head.size(), 42u);
+  ASSERT_EQ(::write(fd, head.data(), head.size()), 42);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  std::uint8_t byte = 0;
+  const ssize_t r = ::recv(fd, &byte, 1, 0);
+  const int err = errno;
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  // EOF, or a reset because the server closed with our bytes unread.
+  EXPECT_TRUE(r == 0 || (r < 0 && err == ECONNRESET))
+      << "recv returned " << r << " (errno " << err << ")";
+  EXPECT_LT(waited, 1.0);
+  ::close(fd);
+
+  auto w1 = TcpNetwork::connect("127.0.0.1", server->port(), 1, 1, opts);
+  EXPECT_TRUE(server->wait_ready());
+  EXPECT_TRUE(w1->wait_ready());
 }
 
 // The incremental parser of the event loop against a live server: one

@@ -154,8 +154,7 @@ TEST(Network, SameSenderFifoUnderClusterPool) {
           buf.write_pod<std::int32_t>(task * 1000 + i);
           net.send(sender, kServerId, "fb", std::move(buf));
         }
-      },
-      /*parallel=*/true);
+      });
 
   // Drain everything; per task, payloads must appear in send order.
   std::vector<int> last_seen(kTasks, -1);
@@ -220,18 +219,11 @@ TEST(Network, CrashBumpsMembershipEpochOncePerDeath) {
   EXPECT_EQ(net.membership_epoch(), 2u);
 }
 
-TEST(ForEachWorker, SequentialPreservesOrder) {
-  std::vector<int> seen;
-  for_each_worker({3, 1, 2}, [&](int id) { seen.push_back(id); },
-                  /*parallel=*/false);
-  EXPECT_EQ(seen, (std::vector<int>{3, 1, 2}));
-}
-
 TEST(ForEachWorker, ParallelRunsEveryIdExactlyOnce) {
   std::vector<int> ids;
   for (int i = 1; i <= 32; ++i) ids.push_back(i);
   std::atomic<int> sum{0};
-  for_each_worker(ids, [&](int id) { sum += id; }, /*parallel=*/true);
+  for_each_worker(ids, [&](int id) { sum += id; });
   EXPECT_EQ(sum.load(), 32 * 33 / 2);
 }
 
@@ -241,12 +233,8 @@ TEST(ForEachWorker, PropagatesExceptionAfterAllTasksFinish) {
     ++ran;
     if (id == 2) throw std::runtime_error("boom");
   };
-  EXPECT_THROW(for_each_worker({1, 2, 3, 4}, body, true),
-               std::runtime_error);
+  EXPECT_THROW(for_each_worker({1, 2, 3, 4}, body), std::runtime_error);
   EXPECT_EQ(ran.load(), 4);  // no task was abandoned
-  ran = 0;
-  EXPECT_THROW(for_each_worker({1, 2, 3, 4}, body, false),
-               std::runtime_error);
 }
 
 }  // namespace

@@ -103,7 +103,6 @@ core::MdGanConfig tiny_cfg() {
   cfg.hp.disc_steps = 1;
   cfg.k = 1;
   cfg.swap_enabled = false;
-  cfg.parallel_workers = false;
   return cfg;
 }
 

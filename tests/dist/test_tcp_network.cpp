@@ -283,7 +283,6 @@ TEST(TcpMdGan, LoopbackRunMatchesSimulatorBitForBit) {
   cfg.hp.disc_steps = 1;
   cfg.k = 2;
   cfg.epochs_per_swap = 1;
-  cfg.parallel_workers = false;
 
   auto full = data::make_synthetic_digits(n_workers * per_shard, seed);
   Rng split_rng(seed);
@@ -325,7 +324,6 @@ TEST(TcpMdGan, LeaveAndRejoinCompletesAndMatchesSimulator) {
   cfg.hp.disc_steps = 1;
   cfg.k = 2;
   cfg.epochs_per_swap = 1;
-  cfg.parallel_workers = false;
 
   AvailabilitySchedule sched;
   sched.add_absence(/*worker=*/2, /*from=*/2, /*until=*/4);
@@ -365,7 +363,6 @@ TEST(TcpMdGan, SparseDiscriminatorsMatchSimulator) {
   cfg.k = 2;
   cfg.epochs_per_swap = 1;
   cfg.n_discriminators = 2;
-  cfg.parallel_workers = false;
 
   auto full = data::make_synthetic_digits(n_workers * per_shard, seed);
   Rng split_rng(seed);
@@ -564,7 +561,6 @@ TEST(TcpMdGan, ServerSurvivesWorkerVanishingMidRun) {
   cfg.hp.disc_steps = 1;
   cfg.k = 2;
   cfg.swap_enabled = false;  // survivor count can drop below 2
-  cfg.parallel_workers = false;
 
   auto full = data::make_synthetic_digits(n_workers * per_shard, seed);
   Rng split_rng(seed);
@@ -782,7 +778,6 @@ TEST(TcpMdGan, RealRestartWithStateTransferMatchesSimulator) {
   cfg.hp.disc_steps = 1;
   cfg.k = 2;
   cfg.swap_enabled = false;
-  cfg.parallel_workers = false;
 
   AvailabilitySchedule sched;
   sched.add_crash_rejoin(/*worker=*/2, /*from=*/2, /*until=*/4);

@@ -132,9 +132,8 @@ TEST(WriterQueue, BackpressureBlocksProducerUntilThePeerDrains) {
 }
 
 TEST(WriterQueue, DeadPeerDropsTheQueueAndUnblocksTheProducer) {
-  obs::SinkConfig sc;
-  sc.force_flight = true;
-  obs::Sink sink(sc);
+  obs::Sink sink;
+  sink.flight().set_enabled(true);
   auto server = TcpNetwork::serve(0, 1, tiny_queue_opts());
   server->set_sink(&sink);
   const int fd = raw_hello(server->port(), 1, 1);

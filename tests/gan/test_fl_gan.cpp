@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "data/synthetic.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -13,7 +16,6 @@ FlGanConfig tiny_cfg() {
   FlGanConfig cfg;
   cfg.hp.batch = 8;
   cfg.epochs_per_round = 1;
-  cfg.parallel_workers = false;  // deterministic order in tests
   return cfg;
 }
 
@@ -112,6 +114,66 @@ TEST(FlGan, EvalHookReceivesAveragedGenerator) {
     EXPECT_EQ(g.num_parameters(), 716560u);
   });
   EXPECT_EQ(calls, 2);
+}
+
+// FL-GAN's workers run concurrently on the compute pool. A straight-line
+// reference — the same seed-derived models and RNG streams, one
+// local_gan_step per worker in id order, the same worker-order average
+// at each sync — must end with the identical server generator.
+TEST(FlGan, PooledWorkersMatchAStraightLineReference) {
+  const std::size_t n = 3;
+  const std::uint64_t seed = 31;
+  const GanArch arch = make_arch(ArchKind::kMlpMnist);
+  const FlGanConfig cfg = tiny_cfg();
+  const auto shards = shards_for(n, 16, 7);  // m=16, b=8: a round is 2
+
+  dist::SimNetwork net(n);
+  FlGan fl(arch, cfg, shards, seed, net);
+  fl.train(5);  // syncs after rounds 2 and 4
+
+  struct RefWorker {
+    nn::Sequential g, d;
+    std::unique_ptr<opt::Adam> g_opt, d_opt;
+    Rng rng;
+  };
+  std::vector<RefWorker> ref(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Rng init = Rng(seed).split(0x1417);  // every worker starts equal
+    ref[i].g = build_generator(arch, init);
+    ref[i].d = build_discriminator(arch, init);
+    ref[i].g_opt = std::make_unique<opt::Adam>(
+        ref[i].g.params(), ref[i].g.grads(), cfg.hp.g_adam);
+    ref[i].d_opt = std::make_unique<opt::Adam>(
+        ref[i].d.params(), ref[i].d.grads(), cfg.hp.d_adam);
+    ref[i].rng = Rng(seed).split(0xf1a).split(i + 1);
+  }
+  // The parameter average over the workers, accumulated in id order.
+  const float inv_n = 1.f / static_cast<float>(n);
+  auto average = [&](nn::Sequential RefWorker::*model) {
+    std::vector<float> avg((ref[0].*model).num_parameters(), 0.f);
+    for (auto& w : ref) {
+      const auto p = (w.*model).flatten_parameters();
+      for (std::size_t j = 0; j < avg.size(); ++j) avg[j] += p[j] * inv_n;
+    }
+    return avg;
+  };
+  const ClassCodes codes(arch.image.num_classes, arch.latent_dim);
+  for (int it = 1; it <= 5; ++it) {
+    for (std::size_t i = 0; i < n; ++i) {
+      local_gan_step(shards[i], ref[i].rng, ref[i].g, *ref[i].g_opt,
+                     ref[i].d, *ref[i].d_opt, arch, codes, cfg.hp);
+    }
+    if (it % 2 == 0) {
+      const auto g_avg = average(&RefWorker::g);
+      const auto d_avg = average(&RefWorker::d);
+      for (auto& w : ref) {
+        w.g.assign_parameters(g_avg);
+        w.d.assign_parameters(d_avg);
+      }
+    }
+  }
+  EXPECT_EQ(fl.server_generator().flatten_parameters(),
+            average(&RefWorker::g));
 }
 
 }  // namespace

@@ -39,7 +39,6 @@ TEST(Integration, MdGanImprovesScoresOverTraining) {
   core::MdGanConfig cfg;
   cfg.hp = fast_hp();
   cfg.k = 1;
-  cfg.parallel_workers = false;
   core::MdGan md(p.arch, cfg, std::move(shards), 55, net);
 
   const auto initial =
@@ -65,7 +64,6 @@ TEST(Integration, FlGanRunsEndToEnd) {
   dist::SimNetwork net(n);
   gan::FlGanConfig cfg;
   cfg.hp = fast_hp();
-  cfg.parallel_workers = false;
   gan::FlGan fl(p.arch, cfg, std::move(shards), 56, net);
   fl.train(40);
   auto g = fl.server_generator();
@@ -94,7 +92,6 @@ TEST(Integration, MdGanVsStandaloneSeeSameSampleBudget) {
   dist::SimNetwork net(2);
   core::MdGanConfig cfg;
   cfg.hp = hp;
-  cfg.parallel_workers = false;
   core::MdGan md(p.arch, cfg, std::move(shards), 57, net);
   md.train(40);
   const auto s2 = p.evaluator.evaluate(md.generator(), p.arch, md.codes());
@@ -112,7 +109,6 @@ TEST(Integration, CrashRunStillProducesUsableGenerator) {
   auto crashes = dist::AvailabilitySchedule::evenly_spaced_crashes(60, n);
   core::MdGanConfig cfg;
   cfg.hp = fast_hp();
-  cfg.parallel_workers = false;
   core::MdGan md(p.arch, cfg, std::move(shards), 58, net, &crashes);
   md.train(60);
   // Last crash at iteration 60: the run completes with 0 workers only
@@ -131,7 +127,6 @@ TEST(Integration, DeterministicEndToEnd) {
     dist::SimNetwork net(2);
     core::MdGanConfig cfg;
     cfg.hp = fast_hp();
-    cfg.parallel_workers = false;
     core::MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,
                    std::move(shards), 99, net);
     md.train(10);

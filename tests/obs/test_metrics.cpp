@@ -123,7 +123,6 @@ TEST(Registry, MatchesTransportAccountantExactly) {
   cfg.hp.disc_steps = 1;
   cfg.k = 2;
   cfg.epochs_per_swap = 1;
-  cfg.parallel_workers = false;
   cfg.sink = &sink;
   core::MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,
                  std::move(shards), 7, net);
@@ -154,7 +153,7 @@ TEST(Registry, MatchesTransportAccountantExactly) {
 // The other acceptance bar: with no sink wired, the instrumented hot
 // paths must not touch the heap at all.
 TEST(Sink, DisabledTelemetryMakesZeroAllocations) {
-  Sink disabled;  // no paths, no force_trace => tracer disabled
+  Sink disabled;  // no paths => tracer disabled
   Tracer& t = disabled.tracer();
   ASSERT_FALSE(t.enabled());
   Counter& c = disabled.registry().counter("warm");  // resolve BEFORE

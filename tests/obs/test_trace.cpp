@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -129,10 +130,13 @@ Shape shape_of(const TraceEvent& ev) {
   return {ev.name, ev.cat, ev.node, ev.iter, ev.bytes, ev.sim_t0, ev.sim_t1};
 }
 
+// The spans of a traced 2-worker sim run, stably sorted by node. The
+// workers run on the pool, so spans of different nodes interleave in
+// any order; one thread at a time emits a given node's spans, in
+// program order, and that per-node order is what a run can promise.
 std::vector<Shape> traced_sim_run() {
-  SinkConfig sc;
-  sc.force_trace = true;
-  Sink sink(sc);
+  Sink sink;
+  sink.tracer().set_enabled(true);
   const std::size_t n = 2;
   dist::SimNetwork net(n);
   auto full = data::make_synthetic_digits(n * 16, 9);
@@ -142,22 +146,24 @@ std::vector<Shape> traced_sim_run() {
   cfg.hp.disc_steps = 1;
   cfg.k = 1;
   cfg.epochs_per_swap = 1;
-  cfg.parallel_workers = false;  // single emitting thread => total order
   cfg.sink = &sink;
   core::MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,
                  data::split_iid(full, n, rng), 21, net);
   md.train(3);
+  auto events = sink.tracer().snapshot();
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.node < b.node;
+                   });
   std::vector<Shape> out;
-  for (const auto& ev : sink.tracer().snapshot()) {
-    out.push_back(shape_of(ev));
-  }
+  for (const auto& ev : events) out.push_back(shape_of(ev));
   return out;
 }
 
-// Golden determinism: under SimNetwork with serial workers, two runs of
-// the same configuration must produce structurally identical traces —
-// same spans, same order, same nodes/iters/bytes and the same VIRTUAL
-// timestamps; only wall-clock readings may differ.
+// Golden determinism: under SimNetwork, two runs of the same
+// configuration must produce structurally identical traces — same
+// spans, same per-node order, same nodes/iters/bytes and the same
+// VIRTUAL timestamps; only wall-clock readings may differ.
 TEST(Tracer, SimTraceIsDeterministic) {
   const auto a = traced_sim_run();
   const auto b = traced_sim_run();

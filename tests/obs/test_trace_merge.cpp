@@ -207,9 +207,8 @@ TEST(TraceMerge, WallMergeShiftsWorkerFilesByClockOffset) {
 // where EVERY recv:<tag> flow resolves to exactly one send:<tag> span —
 // broadcast (c2w), feedback (w2c) and the relayed swap (w2w) included.
 TEST(TraceMerge, TcpLoopbackClusterMergesWithZeroUnmatchedFlows) {
-  SinkConfig sc;
-  sc.force_trace = true;
-  Sink sink_s(sc), sink_1(sc), sink_2(sc);
+  Sink sink_s, sink_1, sink_2;
+  for (Sink* s : {&sink_s, &sink_1, &sink_2}) s->tracer().set_enabled(true);
 
   dist::TcpOptions opts;
   opts.rendezvous_timeout_s = 20.0;

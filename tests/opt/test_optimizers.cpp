@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "opt/adam.hpp"
-#include "opt/sgd.hpp"
 
 namespace mdgan::opt {
 namespace {
@@ -16,28 +15,6 @@ std::uint32_t bits(float f) {
   std::uint32_t u;
   std::memcpy(&u, &f, sizeof u);
   return u;
-}
-
-TEST(Sgd, PlainStepIsAxpy) {
-  Tensor p({2}, std::vector<float>{1.f, 2.f});
-  Tensor g({2}, std::vector<float>{0.5f, -1.f});
-  Sgd sgd({&p}, {&g}, /*lr=*/0.1f);
-  sgd.step();
-  EXPECT_FLOAT_EQ(p[0], 0.95f);
-  EXPECT_FLOAT_EQ(p[1], 2.1f);
-}
-
-TEST(Sgd, MomentumAccumulatesVelocity) {
-  Tensor p({1}, std::vector<float>{0.f});
-  Tensor g({1}, std::vector<float>{1.f});
-  Sgd sgd({&p}, {&g}, 1.f, /*momentum=*/0.5f);
-  sgd.step();  // v = 1,   p = -1
-  EXPECT_FLOAT_EQ(p[0], -1.f);
-  sgd.step();  // v = 1.5, p = -2.5
-  EXPECT_FLOAT_EQ(p[0], -2.5f);
-  sgd.reset();
-  sgd.step();  // velocity back to 1
-  EXPECT_FLOAT_EQ(p[0], -3.5f);
 }
 
 TEST(Adam, FirstStepMatchesHandComputation) {
@@ -163,20 +140,20 @@ TEST(Adam, ConvergesOnQuadratic) {
   EXPECT_NEAR(p[0], 3.f, 1e-2f);
 }
 
-TEST(Optimizer, ZeroGradZeroesBoundBuffers) {
+TEST(Adam, ZeroGradZeroesBoundBuffers) {
   Tensor p({2});
   Tensor g({2}, std::vector<float>{1.f, 2.f});
-  Sgd sgd({&p}, {&g}, 0.1f);
-  sgd.zero_grad();
+  Adam adam({&p}, {&g});
+  adam.zero_grad();
   EXPECT_FLOAT_EQ(g[0], 0.f);
   EXPECT_FLOAT_EQ(g[1], 0.f);
 }
 
-TEST(Optimizer, MismatchedBindingsThrow) {
+TEST(Adam, MismatchedBindingsThrow) {
   Tensor p({2}), g({3});
-  EXPECT_THROW(Sgd({&p}, {&g}, 0.1f), std::invalid_argument);
+  EXPECT_THROW(Adam({&p}, {&g}), std::invalid_argument);
   Tensor g2({2});
-  EXPECT_THROW(Sgd({&p}, {&g2, &g2}, 0.1f), std::invalid_argument);
+  EXPECT_THROW(Adam({&p}, {&g2, &g2}), std::invalid_argument);
 }
 
 }  // namespace
