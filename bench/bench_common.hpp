@@ -213,8 +213,9 @@ inline Series run_md_gan(const RunContext& ctx, gan::GanHyperParams hp,
   auto shards = data::split_iid(ctx.train, workers, split_rng);
   // Metrics-only sink (no trace/metrics paths => tracing off, registry
   // counting on): the bench's traffic columns are read back out of the
-  // registry, exercising the same counters ci.sh validates. Declared
-  // before the network so it outlives the transport that charges it.
+  // registry, exercising the same counters the loopback drill validates.
+  // Declared before the network so it outlives the transport that
+  // charges it.
   obs::Sink sink;
   dist::SimNetwork net(workers);
   net.set_link_model(ctx.link);

@@ -58,12 +58,18 @@ class Harness {
   Harness(double min_time_s, std::string filter)
       : min_time_s_(min_time_s), filter_(std::move(filter)) {}
 
+  // Whether --filter selects the bench `name`; a bench whose fixtures
+  // open sockets checks it before building them.
+  bool wants(const std::string& name) const {
+    return filter_.empty() || name.find(filter_) != std::string::npos;
+  }
+
   // Runs `fn` repeatedly until the measurement budget is filled and
   // records timing + allocation stats. `flops` is the flop count of one
   // iteration (0 if undefined).
   void run(const std::string& name, double flops,
            const std::function<void()>& fn) {
-    if (!filter_.empty() && name.find(filter_) == std::string::npos) return;
+    if (!wants(name)) return;
     fn();  // warm-up: first-touch allocations, lazy pool construction
     std::uint64_t iters = 1;
     for (;;) {
@@ -330,10 +336,12 @@ void bench_wire_path(Harness& h) {
     // The real thing over 127.0.0.1: framing + a gathered sendmsg from
     // the caller's thread + the receiving endpoint's event loop + the
     // ordered mailbox pop.
+    const std::string tcp_row = "BM_TcpLoopbackSendRecv" + suffix;
+    if (!h.wants(tcp_row)) continue;
     auto server = dist::TcpNetwork::serve(0, 1);
     auto worker = dist::TcpNetwork::connect("127.0.0.1", server->port(), 1, 1);
     server->wait_ready();
-    h.run("BM_TcpLoopbackSendRecv" + suffix, 0, [&] {
+    h.run(tcp_row, 0, [&] {
       ByteBuffer buf;
       buf.write_floats(values.data(), values.size());
       worker->send(1, dist::kServerId, "fb", std::move(buf));

@@ -13,7 +13,7 @@
 //   ./mdgan_node --role=sim --workers=2
 //
 // prints the same generator checksum a TCP run converges to — the
-// ci.sh smoke compares the two. Every role derives the dataset and its
+// drill tests (tests/integration/test_node_drills.cpp) compare the two. Every role derives the dataset and its
 // shard deterministically from (--seed, --workers, --shard), so no
 // data moves at startup; all roles must be launched with identical
 // training flags.
@@ -189,7 +189,7 @@ NodeConfig parse_training_flags(const CliFlags& flags) {
   const std::string absent = flags.get("absent", "");
   if (!absent.empty()) nc.availability = parse_absences(absent);
   // Wall-clock sleep per worker local step: widens the mid-round window
-  // so an external kill (the ci.sh crash drill) reliably lands between
+  // so an external kill (the kill drill) reliably lands between
   // a worker's receive and its feedback send.
   nc.cfg.step_delay_s = flags.get_double("step-delay-ms", 0.0) / 1000.0;
   // Churn-resilience budget of every blocking protocol receive: how

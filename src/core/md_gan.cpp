@@ -371,11 +371,9 @@ MdGan::Feedback MdGan::decode_feedback(dist::Message& msg,
   const auto j = msg.payload.read_pod<std::uint32_t>();
   if (j >= k_eff) throw std::logic_error("MdGan server: bad batch id");
   if (msg.from > 0 && msg.from < static_cast<int>(readmitted_.size()) &&
-      readmitted_[static_cast<std::size_t>(msg.from)]) {
-    ++readmitted_feedback_;  // a state-transfer rejoiner is back in
-    if (readmitted_feedback_total_ != nullptr) {
-      readmitted_feedback_total_->inc();
-    }
+      readmitted_[static_cast<std::size_t>(msg.from)] &&
+      readmitted_feedback_total_ != nullptr) {
+    readmitted_feedback_total_->inc();  // a state-transfer rejoiner is back in
   }
   return {msg.from, j,
           Tensor({cfg_.hp.batch, arch_.image_dim()},

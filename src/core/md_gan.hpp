@@ -194,12 +194,6 @@ class MdGan : private RoundDelegate {
   // discriminators this worker re-hosts, deterministically from
   // (worker, admission round). Call before train_from(admission_round).
   void adopt_rejoin_state(RejoinState&& st);
-  // Feedbacks folded/applied from workers re-admitted via state
-  // transfer during this process's lifetime (server roles; proves a
-  // rejoiner's training re-entered the fold).
-  std::int64_t readmitted_feedback_count() const {
-    return readmitted_feedback_;
-  }
 
   nn::Sequential& generator() { return g_; }
   // Discriminator hosted by this worker (throws if the worker currently
@@ -360,7 +354,6 @@ class MdGan : private RoundDelegate {
   // Workers re-admitted via state transfer (1-based index), for
   // attributing their post-rejoin feedbacks.
   std::vector<bool> readmitted_;
-  std::int64_t readmitted_feedback_ = 0;
   std::int64_t iters_run_ = 0;
   std::int64_t gen_updates_ = 0;
   std::int64_t stale_dropped_ = 0;

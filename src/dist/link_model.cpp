@@ -38,27 +38,8 @@ LinkModel& LinkModel::slow_node(int node, double bandwidth_divisor) {
   return *this;
 }
 
-LinkModel& LinkModel::set_nic(int node, double bytes_per_s) {
-  if (bytes_per_s < 0.0) {
-    throw std::invalid_argument("LinkModel::set_nic: negative bandwidth");
-  }
-  if (bytes_per_s == 0.0) {
-    node_nic_bytes_per_s_.erase(node);
-  } else {
-    node_nic_bytes_per_s_[node] = bytes_per_s;
-  }
-  return *this;
-}
-
-double LinkModel::nic_bytes_per_s(int node) const {
-  auto it = node_nic_bytes_per_s_.find(node);
-  return it != node_nic_bytes_per_s_.end() ? it->second : 0.0;
-}
-
 LinkParams LinkModel::params(int from, int to) const {
   LinkParams p = default_;
-  auto it = overrides_.find({from, to});
-  if (it != overrides_.end()) p = it->second;
   double divisor = 1.0;
   auto df = node_bw_divisor_.find(from);
   if (df != node_bw_divisor_.end()) divisor = std::max(divisor, df->second);
@@ -66,18 +47,6 @@ LinkParams LinkModel::params(int from, int to) const {
   if (dt != node_bw_divisor_.end()) divisor = std::max(divisor, dt->second);
   if (divisor != 1.0 && p.bytes_per_s > 0.0) p.bytes_per_s /= divisor;
   return p;
-}
-
-bool LinkModel::zero() const {
-  if (!default_.zero()) return false;
-  for (const auto& [key, p] : overrides_) {
-    if (!p.zero()) return false;
-  }
-  // A NIC cap makes transfers take time even over zero-cost links.
-  if (!node_nic_bytes_per_s_.empty()) return false;
-  // Node divisors only scale bandwidth, so they cannot make a zero
-  // model nonzero.
-  return true;
 }
 
 LinkDelay LinkModel::delay(int from, int to, std::size_t bytes,

@@ -35,7 +35,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <utility>
 
 namespace mdgan::dist {
 
@@ -63,35 +62,20 @@ class LinkModel {
   explicit LinkModel(const LinkParams& all_links, std::uint64_t seed = 0)
       : default_(all_links), seed_(seed) {}
 
-  // Directed per-link override; wins over the default.
-  LinkModel& set_link(int from, int to, const LinkParams& p) {
-    overrides_[{from, to}] = p;
-    return *this;
-  }
   // Straggler knob: divides the bandwidth of every link touching `node`
   // by `divisor` (> 0). When both endpoints of a link are slowed, the
   // larger divisor (slower endpoint) governs, like a point-to-point
   // link capped by its slower NIC. Latency and jitter are unaffected.
   LinkModel& slow_node(int node, double bandwidth_divisor);
 
-  // Aggregate NIC cap: `node`'s one physical interface moves at most
-  // `bytes_per_s` in each direction, *shared* across all of its links —
-  // N concurrent inbound transfers serialize through the receiver's NIC
-  // instead of enjoying N independent link capacities (the Figure 2
-  // ingress concern, now in the time domain). 0 removes the cap
-  // (infinite NIC, links independent — the PR 2 behavior). The dynamic
-  // busy state lives in SimNetwork; this is just the parameter.
-  LinkModel& set_nic(int node, double bytes_per_s);
-  // The node's NIC cap, or 0 when uncapped.
-  double nic_bytes_per_s(int node) const;
-
-  // Effective parameters of (from, to): override or default, with node
+  // Effective parameters of (from, to): the default, with node
   // bandwidth divisors applied.
   LinkParams params(int from, int to) const;
 
-  // True when every configured link is zero-cost and no NIC cap is set;
-  // SimNetwork skips all clock arithmetic for a zero model.
-  bool zero() const;
+  // True when every link is zero-cost; SimNetwork skips all clock
+  // arithmetic for a zero model. Node divisors only scale bandwidth, so
+  // they cannot make a zero model nonzero.
+  bool zero() const { return default_.zero(); }
 
   // Pure function of (params, bytes, link_seq): the cost of the
   // link_seq-th message ever sent on (from, to).
@@ -102,9 +86,7 @@ class LinkModel {
 
  private:
   LinkParams default_;
-  std::map<std::pair<int, int>, LinkParams> overrides_;
   std::map<int, double> node_bw_divisor_;
-  std::map<int, double> node_nic_bytes_per_s_;
   std::uint64_t seed_ = 0;
 };
 

@@ -17,8 +17,6 @@ SimNetwork::SimNetwork(std::size_t n_workers) : n_workers_(n_workers) {
   link_busy_.assign((n_workers_ + 1) * (n_workers_ + 1), 0.0);
   link_seq_.assign((n_workers_ + 1) * (n_workers_ + 1), 0);
   flow_seq_.assign((n_workers_ + 1) * (n_workers_ + 1), 0);
-  nic_out_busy_.assign(n_workers_ + 1, 0.0);
-  nic_in_busy_.assign(n_workers_ + 1, 0.0);
   partitions_.resize(n_workers_ + 1);
 }
 
@@ -73,43 +71,18 @@ void SimNetwork::send(int from, int to, const std::string& tag,
   ingress_window_[static_cast<std::size_t>(to)] += payload.size();
 
   // Virtual clock: the message departs at the sender's current time and
-  // arrives after queueing behind earlier traffic on the same link (and,
-  // when NIC caps are configured, behind the sender's other outgoing and
-  // the receiver's other incoming transfers) plus the link's
-  // transmit/latency/jitter cost. Zero model: arrival == sender clock,
-  // no link state touched (clocks stay wherever advance_time left them,
-  // i.e. all-zero by default).
+  // arrives after queueing behind earlier traffic on the same link plus
+  // the link's transmit/latency/jitter cost. Zero model: arrival ==
+  // sender clock, no link state touched (clocks stay wherever
+  // advance_time left them, i.e. all-zero by default).
   double arrival = sim_time_[static_cast<std::size_t>(from)];
   if (!model_zero_) {
     const std::size_t li = pair_index(from, to);
     const LinkDelay d =
         model_.delay(from, to, payload.size(), link_seq_[li]++);
-    double start = std::max(arrival, link_busy_[li]);
-    double transmit = d.transmit_s;
-    // A capped NIC is one shared serializing resource per node: the
-    // transfer must wait for it to free and holds it for the whole
-    // transmit, whose duration is governed by the slowest resource on
-    // the path (link, sender NIC, receiver NIC). Uncapped nodes skip
-    // this entirely, preserving the independent-link behavior.
-    const double out_rate = model_.nic_bytes_per_s(from);
-    const double in_rate = model_.nic_bytes_per_s(to);
-    const auto bytes = static_cast<double>(payload.size());
-    if (out_rate > 0.0) {
-      start = std::max(start, nic_out_busy_[static_cast<std::size_t>(from)]);
-      transmit = std::max(transmit, bytes / out_rate);
-    }
-    if (in_rate > 0.0) {
-      start = std::max(start, nic_in_busy_[static_cast<std::size_t>(to)]);
-      transmit = std::max(transmit, bytes / in_rate);
-    }
-    link_busy_[li] = start + transmit;
-    if (out_rate > 0.0) {
-      nic_out_busy_[static_cast<std::size_t>(from)] = start + transmit;
-    }
-    if (in_rate > 0.0) {
-      nic_in_busy_[static_cast<std::size_t>(to)] = start + transmit;
-    }
-    arrival = start + transmit + d.propagation_s;
+    const double start = std::max(arrival, link_busy_[li]);
+    link_busy_[li] = start + d.transmit_s;
+    arrival = link_busy_[li] + d.propagation_s;
   }
 
   // A partitioned endpoint stalls the message: anything departing or

@@ -29,14 +29,6 @@
 // local compute. Simulated time never changes what is sent or received,
 // only the timestamps; byte/message accounting is model-independent.
 //
-// Aggregate NIC caps: when the LinkModel carries a per-node NIC
-// bandwidth cap (LinkModel::set_nic), a node's concurrent transfers
-// additionally serialize through that shared interface — egress at the
-// sender, ingress at the receiver — so N workers pushing feedback into
-// the server contend for the server's one NIC instead of enjoying N
-// independent link capacities. Nodes without a cap keep the PR 2
-// independent-link behavior bit-identically.
-//
 // Liveness is fail-stop (paper §V, Figure 5): crash(w) drops the
 // worker's queued mail, makes its future sends/receives no-ops, and
 // removes it from alive_workers(). Crashed workers never come back.
@@ -154,8 +146,6 @@ class SimNetwork final : public Transport {
   std::vector<double> link_busy_;      // per directed link, pair_index
   std::vector<std::uint64_t> link_seq_;  // messages ever sent per link
   std::vector<std::uint64_t> flow_seq_;  // trace flow ids, per link
-  std::vector<double> nic_out_busy_;   // per node, shared egress NIC
-  std::vector<double> nic_in_busy_;    // per node, shared ingress NIC
 
   // Partition state.
   LivenessConfig liveness_;

@@ -15,6 +15,7 @@
 
 #include "common/log.hpp"
 #include "dist/tcp_network.hpp"
+#include "obs/json.hpp"
 
 namespace mdgan::dist {
 
@@ -57,8 +58,9 @@ std::string TcpNetwork::stats_json() {
          << peer_state_name(liveness_.state(static_cast<int>(w))) << '"';
       const Conn* c = conns_[w].get();
       if (c != nullptr && c->rx.any) {
-        os << ",\"last_rx_tag\":\"" << c->rx.tag
-           << "\",\"last_rx_s\":" << c->rx.at_s
+        // The tag is whatever bytes the peer put in its frame.
+        os << ",\"last_rx_tag\":" << obs::json::quote(c->rx.tag)
+           << ",\"last_rx_s\":" << c->rx.at_s
            << ",\"rx_frames\":" << c->rx.frames;
       }
       os << '}';

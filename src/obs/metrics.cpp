@@ -6,6 +6,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "obs/json.hpp"
+
 namespace mdgan::obs {
 
 Histogram::Histogram(std::vector<double> upper_bounds)
@@ -109,31 +111,6 @@ bool Registry::has(const std::string& key) const {
 
 namespace {
 
-// JSON string escaping for instrument keys ('{', '}', '=' are legal as
-// is; quotes/backslashes/control bytes are not expected but handled).
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 void write_json_double(std::ostream& os, double v) {
   if (!std::isfinite(v)) {
     os << "null";
@@ -162,8 +139,7 @@ void Registry::write_snapshot_json(std::ostream& os, const char* kind,
     if (!e.counter) continue;
     if (!first) os << ',';
     first = false;
-    write_json_string(os, key);
-    os << ':' << e.counter->value();
+    os << json::quote(key) << ':' << e.counter->value();
   }
   os << "},\"gauges\":{";
   first = true;
@@ -171,8 +147,7 @@ void Registry::write_snapshot_json(std::ostream& os, const char* kind,
     if (!e.gauge) continue;
     if (!first) os << ',';
     first = false;
-    write_json_string(os, key);
-    os << ':';
+    os << json::quote(key) << ':';
     write_json_double(os, e.gauge->value());
   }
   os << "},\"histograms\":{";
@@ -181,8 +156,7 @@ void Registry::write_snapshot_json(std::ostream& os, const char* kind,
     if (!e.histogram) continue;
     if (!first) os << ',';
     first = false;
-    write_json_string(os, key);
-    os << ":{\"le\":[";
+    os << json::quote(key) << ":{\"le\":[";
     const auto& bounds = e.histogram->upper_bounds();
     for (std::size_t i = 0; i < bounds.size(); ++i) {
       if (i) os << ',';

@@ -8,7 +8,7 @@
 // locks, no allocation. Registered instruments are never deleted or
 // moved while the registry lives, so cached pointers stay valid.
 //
-// Naming follows the Prometheus convention the benches and ci.sh parse:
+// Naming follows the Prometheus convention the benches and tests parse:
 // a bare name ("rounds_total") or a name with one label
 // ("feedback_bytes_total{link=w2c}"). The full key is what snapshots
 // emit as the JSON object key.

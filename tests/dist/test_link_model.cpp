@@ -1,6 +1,5 @@
 // Closed-form checks of the simulated-time link model: latency-only,
-// bandwidth-only, mixed, queueing, per-link overrides and straggler
-// throttling, jitter determinism — and the contract the whole PR rests
+// bandwidth-only, mixed, queueing and straggler throttling, jitter determinism — and the contract the whole PR rests
 // on: the zero model is byte-for-byte the pre-clock SimNetwork.
 #include "dist/link_model.hpp"
 
@@ -31,9 +30,6 @@ TEST(LinkModel, DefaultIsZeroModel) {
 
   LinkModel uniform(LinkParams{0.01, 0.0, 0.0});
   EXPECT_FALSE(uniform.zero());
-  LinkModel overridden;
-  overridden.set_link(1, 0, LinkParams{0.0, 1000.0, 0.0});
-  EXPECT_FALSE(overridden.zero());
 }
 
 TEST(LinkModel, LatencyOnlyClosedForm) {
@@ -88,14 +84,6 @@ TEST(LinkModel, MixedAndQueueingClosedForm) {
   // starting at the same clock arrives like a first message.
   net.send(kServerId, 2, "t", raw_bytes(500));
   EXPECT_DOUBLE_EQ(net.receive_tagged(2, "t")->arrival_s, 0.6);
-}
-
-TEST(LinkModel, PerLinkOverrideWinsOverDefault) {
-  LinkModel m(LinkParams{0.0, 1000.0, 0.0});
-  m.set_link(1, kServerId, LinkParams{0.0, 100.0, 0.0});
-  EXPECT_DOUBLE_EQ(m.delay(1, 0, 100, 0).total(), 1.0);   // overridden
-  EXPECT_DOUBLE_EQ(m.delay(0, 1, 100, 0).total(), 0.1);   // default
-  EXPECT_DOUBLE_EQ(m.delay(2, 0, 100, 0).total(), 0.1);   // default
 }
 
 TEST(LinkModel, SlowNodeThrottlesBothDirections) {
@@ -234,101 +222,6 @@ TEST(LinkModel, CrashedWorkerFreezesOutOfCriticalPath) {
   // The frozen clock is still readable but no longer the critical path.
   EXPECT_DOUBLE_EQ(net.sim_time(1), 5.0);
   EXPECT_DOUBLE_EQ(net.max_sim_time(), 1.0);
-}
-
-TEST(LinkModel, NicCapMakesModelNonZeroAndIsQueryable) {
-  LinkModel m;
-  EXPECT_TRUE(m.zero());
-  EXPECT_EQ(m.nic_bytes_per_s(kServerId), 0.0);
-  m.set_nic(kServerId, 100.0);
-  EXPECT_FALSE(m.zero());
-  EXPECT_EQ(m.nic_bytes_per_s(kServerId), 100.0);
-  EXPECT_EQ(m.nic_bytes_per_s(1), 0.0);  // other nodes uncapped
-  m.set_nic(kServerId, 0.0);  // 0 removes the cap
-  EXPECT_TRUE(m.zero());
-  EXPECT_THROW(m.set_nic(1, -1.0), std::invalid_argument);
-}
-
-TEST(LinkModel, ConcurrentInboundTransfersShareTheServerNic) {
-  // Four workers each push 100 B at t=0. Per-link capacity is infinite
-  // (no LinkParams bandwidth), so without a NIC cap every transfer
-  // would land instantly. With the server NIC capped at 100 B/s the
-  // four inbound transfers serialize through the shared interface:
-  // arrivals at 1, 2, 3, 4 seconds in send order.
-  const std::size_t n = 4, bytes = 100;
-  SimNetwork net(n);
-  LinkModel m;
-  m.set_nic(kServerId, 100.0);
-  net.set_link_model(m);
-  for (std::size_t w = 1; w <= n; ++w) {
-    net.send(static_cast<int>(w), kServerId, "fb", raw_bytes(bytes));
-  }
-  for (std::size_t w = 1; w <= n; ++w) {
-    auto msg = net.receive_tagged(kServerId, "fb");
-    ASSERT_TRUE(msg.has_value());
-    EXPECT_DOUBLE_EQ(msg->arrival_s, static_cast<double>(w));
-  }
-  EXPECT_DOUBLE_EQ(net.sim_time(kServerId), 4.0);
-
-  // Control: same traffic with independent links only (per-link
-  // bandwidth 100 B/s, no NIC cap) — everybody arrives at 1 s because
-  // each directed link has its own capacity.
-  SimNetwork independent(n);
-  independent.set_link_model(LinkModel(LinkParams{0.0, 100.0, 0.0}));
-  for (std::size_t w = 1; w <= n; ++w) {
-    independent.send(static_cast<int>(w), kServerId, "fb",
-                     raw_bytes(bytes));
-  }
-  for (std::size_t w = 1; w <= n; ++w) {
-    EXPECT_DOUBLE_EQ(independent.receive_tagged(kServerId, "fb")->arrival_s,
-                     1.0);
-  }
-}
-
-TEST(LinkModel, NicCapSharesTheServerEgressAcrossBroadcast) {
-  // The server pushing k batches to 3 workers over infinite links but a
-  // 1000 B/s NIC: the three sends serialize on the way *out*.
-  SimNetwork net(3);
-  LinkModel m;
-  m.set_nic(kServerId, 1000.0);
-  net.set_link_model(m);
-  for (int w = 1; w <= 3; ++w) {
-    net.send(kServerId, w, "gen", raw_bytes(500));
-  }
-  for (int w = 1; w <= 3; ++w) {
-    EXPECT_DOUBLE_EQ(net.receive_tagged(w, "gen")->arrival_s, 0.5 * w);
-  }
-}
-
-TEST(LinkModel, NicCapComposesWithLinkBandwidth) {
-  // The slowest resource on the path governs the transmit time: a
-  // 100 B/s link under a 1000 B/s receiver NIC still takes bytes/100.
-  SimNetwork net(2);
-  LinkModel m(LinkParams{0.0, 100.0, 0.0});
-  m.set_nic(kServerId, 1000.0);
-  net.set_link_model(m);
-  net.send(1, kServerId, "t", raw_bytes(200));
-  EXPECT_DOUBLE_EQ(net.receive_tagged(kServerId, "t")->arrival_s, 2.0);
-  // And the reverse: a fast link throttled by the receiver NIC.
-  SimNetwork net2(2);
-  LinkModel m2(LinkParams{0.0, 1000.0, 0.0});
-  m2.set_nic(kServerId, 100.0);
-  net2.set_link_model(m2);
-  net2.send(1, kServerId, "t", raw_bytes(200));
-  EXPECT_DOUBLE_EQ(net2.receive_tagged(kServerId, "t")->arrival_s, 2.0);
-}
-
-TEST(LinkModel, UncappedNodesKeepIndependentLinkBehavior) {
-  // A NIC cap on the server must not change worker<->worker timing.
-  SimNetwork net(3);
-  LinkModel m(LinkParams{0.0, 100.0, 0.0});
-  m.set_nic(kServerId, 50.0);
-  net.set_link_model(m);
-  net.send(1, 2, "t", raw_bytes(100));
-  net.send(3, 2, "t", raw_bytes(100));
-  // Two different links into worker 2: independent, both arrive at 1 s.
-  EXPECT_DOUBLE_EQ(net.receive_tagged(2, "t")->arrival_s, 1.0);
-  EXPECT_DOUBLE_EQ(net.receive_tagged(2, "t")->arrival_s, 1.0);
 }
 
 }  // namespace

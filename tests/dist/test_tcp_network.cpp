@@ -909,6 +909,11 @@ TEST(TcpNetwork, StatsProbeMatchesTheAccountantExactly) {
   ASSERT_TRUE(w2->receive_tagged(2, "disc_swap").has_value());
   w2->send(2, kServerId, "feedback", payload_of(16));
   ASSERT_TRUE(server->receive_tagged(kServerId, "feedback").has_value());
+  // The peer chooses its tags: the snapshot must quote whatever bytes
+  // worker 2's last frame carried.
+  const std::string odd_tag = "bad\"tag\x01";
+  w2->send(2, kServerId, odd_tag, payload_of(4));
+  ASSERT_TRUE(server->receive_tagged(kServerId, odd_tag).has_value());
   sink.set_live(7, "collect");
 
   const auto reply = fetch_stats("127.0.0.1", server->port());
@@ -942,6 +947,9 @@ TEST(TcpNetwork, StatsProbeMatchesTheAccountantExactly) {
     ASSERT_NE(rx, nullptr);
     EXPECT_GE(rx->num_or(0.0), 1.0);
   }
+  const obs::json::Value* tag = workers->array[1].find("last_rx_tag");
+  ASSERT_NE(tag, nullptr);
+  EXPECT_EQ(tag->str_or(""), odd_tag);
 
   const obs::json::Value* metrics = doc.find("metrics");
   ASSERT_NE(metrics, nullptr);
