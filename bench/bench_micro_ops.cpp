@@ -206,10 +206,15 @@ void bench_mlp_generator_forward(Harness& h) {
   }
 }
 
+// Batch sizes of the discriminator rows: the end-to-end workloads' 8,
+// 16 and 32 (tcp-async-small, tcp-sync-swap, sim-w8-compute), the tiny
+// tests' 10 and the paper's 100.
+constexpr std::size_t kDiscBatches[] = {8, 10, 16, 32, 100};
+
 void bench_worker_feedback(Harness& h) {
   // Algorithm 1 lines 9-10: the per-iteration feedback computation of
   // one worker (D forward + backward to the input).
-  for (std::size_t b : {std::size_t{10}, std::size_t{100}}) {
+  for (std::size_t b : kDiscBatches) {
     Rng rng(6);
     auto arch = gan::make_arch(gan::ArchKind::kMlpMnist);
     auto d = gan::build_discriminator(arch, rng);
@@ -224,7 +229,7 @@ void bench_worker_feedback(Harness& h) {
 }
 
 void bench_disc_learning_step(Harness& h) {
-  for (std::size_t b : {std::size_t{10}, std::size_t{100}}) {
+  for (std::size_t b : kDiscBatches) {
     Rng rng(7);
     auto arch = gan::make_arch(gan::ArchKind::kMlpMnist);
     auto d = gan::build_discriminator(arch, rng);

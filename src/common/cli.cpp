@@ -1,9 +1,19 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 
 namespace mdgan {
+namespace {
+
+[[noreturn]] void bad_value(const std::string& name, const std::string& value,
+                            const char* expected) {
+  throw std::invalid_argument("--" + name + ": expected " + expected +
+                              ", got '" + value + "'");
+}
+
+}  // namespace
 
 CliFlags::CliFlags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -38,19 +48,36 @@ std::int64_t CliFlags::get_int(const std::string& name,
                                std::int64_t def) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return def;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string& v = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const long long n = std::strtoll(v.c_str(), &end, 10);
+  if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE) {
+    bad_value(name, v, "an integer");
+  }
+  return n;
 }
 
 double CliFlags::get_double(const std::string& name, double def) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return def;
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string& v = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double x = std::strtod(v.c_str(), &end);
+  if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE) {
+    bad_value(name, v, "a number");
+  }
+  return x;
 }
 
 bool CliFlags::get_bool(const std::string& name, bool def) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  bad_value(name, v, "true/false, 1/0 or yes/no");
 }
 
 }  // namespace mdgan

@@ -18,6 +18,10 @@ class CliFlags {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& def) const;
+  // The typed getters return `def` when the flag is absent. A value they
+  // cannot parse whole, or one out of range, throws
+  // std::invalid_argument naming the flag and the value. Booleans are
+  // true/false, 1/0, yes/no, or a bare flag (true).
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def = false) const;

@@ -14,7 +14,9 @@
 // until the *next* reset() of this workspace — long enough to carry
 // forward caches (im2col cols, pre-activations) into the matching
 // backward pass, which by construction runs before the layer's next
-// forward.
+// forward. Moving a Workspace keeps every slot's address, so a layer
+// that parks its workspace (nn::Layer::swap_cache) keeps its cached
+// Tensor pointers valid.
 #pragma once
 
 #include <cstddef>

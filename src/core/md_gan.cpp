@@ -217,9 +217,7 @@ void MdGan::broadcast(const std::vector<std::size_t>& discs,
                       std::size_t k_eff) {
   const std::size_t b = cfg_.hp.batch;
   latent_batches_.clear();
-  latent_labels_.clear();
   latent_batches_.reserve(k_eff);
-  latent_labels_.reserve(k_eff);
 
   // Each batch is serialized ONCE into an immutable blob shared by
   // reference across every recipient's frame: broadcast serialization
@@ -227,16 +225,18 @@ void MdGan::broadcast(const std::vector<std::size_t>& discs,
   std::vector<dist::SharedBuf::Segment> blobs;
   blobs.reserve(k_eff);
 
-  // Generate K = {X(1..k)}. Generated in train mode: the update-step
-  // re-forward reproduces the exact same activations (batch statistics
-  // depend only on the batch itself).
+  // Generate K = {X(1..k)} in train mode, and park each batch's layer
+  // caches in slot j: G does not change before the sync fold, which
+  // backpropagates batch j through exactly these activations instead of
+  // re-running G. The async server re-forwards on the current θ instead
+  // and never reads a parked cache.
   for (std::size_t j = 0; j < k_eff; ++j) {
     std::vector<int> labels;
     Tensor z = gan::sample_latent(arch_, codes_, b, server_rng_, labels);
     blobs.push_back(encode_batch_blob(g_.forward(z, /*train=*/true),
                                       labels));
+    g_.swap_cache(j);
     latent_batches_.push_back(std::move(z));
-    latent_labels_.push_back(std::move(labels));
   }
 
   // SPLIT (§IV-B1): the participant at position p gets X_g = X(p mod k),
@@ -414,12 +414,11 @@ void MdGan::fold_sync(std::vector<dist::Message>&& feedbacks,
   g_opt_->zero_grad();
   for (std::size_t j = 0; j < k_eff; ++j) {
     if (counts[j] == 0) continue;  // batch unused by the SPLIT this round
-    // Re-forward G on the cached latent batch: G's parameters have not
-    // changed since generation, so this reproduces x exactly and primes
-    // the layer caches for backward.
-    g_.forward(latent_batches_[j], /*train=*/true);
+    // Restore the activations broadcast parked for batch j: G's
+    // parameters have not changed since it generated the batch.
+    g_.swap_cache(j);
     upstream[j] *= inv_n;
-    g_.backward(upstream[j]);
+    g_.backward(upstream[j], nn::Grads::kParams);
   }
   g_opt_->step();
   ++gen_updates_;
@@ -440,7 +439,7 @@ void MdGan::apply_async(dist::Message&& feedback, std::size_t staleness,
   const Feedback fb = decode_feedback(feedback, k_eff);
   g_opt_->zero_grad();
   g_.forward(latent_batches_[fb.batch], /*train=*/true);
-  g_.backward(fb.grad);
+  g_.backward(fb.grad, nn::Grads::kParams);
   // Staleness-aware step: damping shrinks the learning rate of updates
   // computed against an old generator. Damping 0 is a plain step.
   const float scale =

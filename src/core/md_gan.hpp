@@ -8,7 +8,9 @@
 //  3. each worker computes the error feedback F_n = dJ_gen/dx on X_g
 //     and ships it to the server (b*d floats — independent of |θ|);
 //  4. the server folds all feedbacks into ∆w by backpropagating through
-//     G and applies Adam (§IV-B2).
+//     G and applies Adam (§IV-B2). In sync mode each batch is
+//     backpropagated through the activations step 1 parked for it, so G
+//     runs forward once per generated batch.
 // Every E local epochs the discriminators move peer-to-peer along a
 // random derangement (§IV-C1); disabling that exchange is the no-swap
 // ablation of Figure 4.
@@ -339,10 +341,9 @@ class MdGan : private RoundDelegate {
   std::unique_ptr<opt::Adam> g_opt_;
   Rng server_rng_;
   Rng swap_rng_;
-  // Latent batches of the current iteration, for the re-forward in the
-  // update step (index = batch id).
+  // Latent batches of the current iteration, for the async server's
+  // re-forward (index = batch id).
   std::vector<Tensor> latent_batches_;
-  std::vector<std::vector<int>> latent_labels_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<Disc> discs_;

@@ -1,6 +1,7 @@
 #include "core/round_engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
 #include "common/log.hpp"
@@ -14,6 +15,26 @@ namespace {
 // admission round across roles when the rejoiner is a real process
 // restart; a no-op in simulation, where await_alive returns at once.
 constexpr double kReadmitWaitS = 30.0;
+
+// Observes the wall seconds of its scope into `h` (null: off).
+class PhaseTimer {
+ public:
+  explicit PhaseTimer(obs::Histogram* h) : h_(h) {
+    if (h_ != nullptr) t0_ = std::chrono::steady_clock::now();
+  }
+  ~PhaseTimer() {
+    if (h_ == nullptr) return;
+    h_->observe(std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0_)
+                    .count());
+  }
+  PhaseTimer(const PhaseTimer&) = delete;
+  PhaseTimer& operator=(const PhaseTimer&) = delete;
+
+ private:
+  obs::Histogram* h_;
+  std::chrono::steady_clock::time_point t0_{};
+};
 
 }  // namespace
 
@@ -55,9 +76,20 @@ RoundEngine::RoundEngine(dist::Transport& net, RoundEngineConfig cfg,
     obs::Registry& r = cfg_.sink->registry();
     rounds_total_ = &r.counter("rounds_total");
     stale_dropped_total_ = &r.counter("feedback_stale_dropped_total");
-    round_duration_s_ = &r.histogram(
-        "round_duration_seconds",
-        {1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0, 300.0});
+    const std::vector<double> seconds{1e-4, 1e-3, 1e-2, 0.1, 0.5,
+                                      1.0,  5.0,  10.0, 60.0, 300.0};
+    round_duration_s_ = &r.histogram("round_duration_seconds", seconds);
+    // Wall seconds, not the transport clock: a zero-cost SimNetwork's
+    // clock does not advance with compute, so every phase would read 0.
+    const auto phase = [&](const char* name) {
+      return &r.histogram("phase_duration_seconds", seconds,
+                          std::string("phase=") + name);
+    };
+    membership_s_ = phase("membership");
+    broadcast_s_ = phase("broadcast");
+    local_s_ = phase("local");
+    collect_s_ = phase("collect");
+    swap_s_ = phase("swap");
     feedback_staleness_ = &r.histogram(
         "feedback_staleness", {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
     // Stamp spans with the transport's virtual (or measured) clock. The
@@ -458,6 +490,7 @@ std::int64_t RoundEngine::run(std::int64_t first_iter, std::int64_t rounds) {
     bool stop = false;
     {
       obs::Span s(tr, "phase:membership", obs::Cat::kPhase, self, i);
+      const PhaseTimer timer(membership_s_);
       live(i, "membership");
       net_.begin_iteration(i);
       stop = !process_membership(i);
@@ -485,16 +518,19 @@ std::int64_t RoundEngine::run(std::int64_t first_iter, std::int64_t rounds) {
 
     if (cfg_.role.runs_server()) {
       obs::Span s(tr, "phase:broadcast", obs::Cat::kPhase, self, i);
+      const PhaseTimer timer(broadcast_s_);
       live(i, "broadcast");
       delegate_.broadcast(discs, k_eff);
     }
     {
       obs::Span s(tr, "phase:local", obs::Cat::kPhase, self, i);
+      const PhaseTimer timer(local_s_);
       live(i, "local");
       delegate_.local_work(discs);
     }
     if (cfg_.role.runs_server()) {
       obs::Span s(tr, "phase:collect", obs::Cat::kPhase, self, i);
+      const PhaseTimer timer(collect_s_);
       live(i, "collect");
       auto senders = delegate_.feedback_senders(discs);
       if (cfg_.mode == ServerMode::kSync) {
@@ -506,6 +542,7 @@ std::int64_t RoundEngine::run(std::int64_t first_iter, std::int64_t rounds) {
 
     if (cfg_.swap_enabled && i % cfg_.swap_period == 0) {
       obs::Span s(tr, "phase:swap", obs::Cat::kPhase, self, i);
+      const PhaseTimer timer(swap_s_);
       live(i, "swap");
       delegate_.swap(i, present_workers());
     }

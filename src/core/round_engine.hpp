@@ -174,7 +174,8 @@ struct RoundEngineConfig {
   std::size_t max_staleness = static_cast<std::size_t>(-1);
   // Optional telemetry sink (not owned, may outlive-the-run null = off):
   // the engine emits one kRound span per round plus one kPhase span per
-  // phase, observes round_duration_seconds and feedback_staleness,
+  // phase, observes round_duration_seconds, the wall seconds of each
+  // phase as phase_duration_seconds{phase=...} and feedback_staleness,
   // counts rounds_total / feedback_stale_dropped_total, and calls
   // Sink::round_completed after every completed round. It also installs
   // the transport's sim_time as the tracer's virtual-clock source (the
@@ -287,6 +288,13 @@ class RoundEngine {
   obs::Counter* stale_dropped_total_ = nullptr;
   obs::Histogram* round_duration_s_ = nullptr;
   obs::Histogram* feedback_staleness_ = nullptr;
+  // phase_duration_seconds{phase=...}: the wall seconds of each phase,
+  // observed next to its phase:* span.
+  obs::Histogram* membership_s_ = nullptr;
+  obs::Histogram* broadcast_s_ = nullptr;
+  obs::Histogram* local_s_ = nullptr;
+  obs::Histogram* collect_s_ = nullptr;
+  obs::Histogram* swap_s_ = nullptr;
   // Flight recorder (null when disabled): lifecycle events the engine
   // owns — admissions applied and stale-feedback drops.
   obs::FlightRecorder* flight_ = nullptr;

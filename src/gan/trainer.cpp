@@ -13,19 +13,20 @@ DiscStepStats disc_learning_step(nn::Sequential& disc,
   DiscStepStats stats;
   d_opt.zero_grad();
 
-  // Real side (activations and the discarded input grad live in layer
-  // scratch, so the step allocates only the loss grads).
+  // Real side. The step reads only D's parameter gradients, so neither
+  // side computes an input gradient; activations live in layer scratch,
+  // so the step allocates only the loss grads.
   const Tensor& out_real = disc.forward(x_real, /*train=*/true);
   SideLoss real = disc_side_loss(out_real, /*target_real=*/true,
                                  acgan ? &y_real : nullptr);
-  disc.backward(real.grad);
+  disc.backward(real.grad, nn::Grads::kParams);
 
   // Fake side (forward/backward immediately: layer caches are
   // single-shot).
   const Tensor& out_fake = disc.forward(x_fake, /*train=*/true);
   SideLoss fake = disc_side_loss(out_fake, /*target_real=*/false,
                                  acgan ? &y_fake : nullptr);
-  disc.backward(fake.grad);
+  disc.backward(fake.grad, nn::Grads::kParams);
 
   d_opt.step();
   stats.loss_real = real.source_loss;
@@ -39,11 +40,9 @@ const Tensor& generator_feedback(nn::Sequential& disc, const Tensor& x_fake,
                                  bool saturating, float* loss_out) {
   const Tensor& d_out = disc.forward(x_fake, /*train=*/true);
   SideLoss gl = generator_loss(d_out, y_fake, saturating);
-  const Tensor& feedback = disc.backward(gl.grad);
-  // Drop the parameter gradients this pass accumulated: the
-  // discriminator is not being trained here (Algorithm 1 line 9 only
-  // ships dJ/dx).
-  disc.zero_grad();
+  // Algorithm 1 line 9 ships only dJ/dx: D is not trained by this pass,
+  // so its parameter gradients are neither computed nor touched.
+  const Tensor& feedback = disc.backward(gl.grad, nn::Grads::kInput);
   if (loss_out) *loss_out = gl.source_loss + gl.aux_loss;
   return feedback;
 }
@@ -72,7 +71,7 @@ void local_gan_step(const data::InMemoryDataset& data, Rng& rng,
   const Tensor& feedback = generator_feedback(
       d, x_gen, arch.acgan ? &y_gen : nullptr, hp.saturating);
   g_opt.zero_grad();
-  g.backward(feedback);
+  g.backward(feedback, nn::Grads::kParams);
   g_opt.step();
 }
 

@@ -4,7 +4,7 @@
 //  * disc_learning_step — Algorithm 1 line 7 (and the local updates of
 //    FL-GAN and the standalone GAN),
 //  * generator_feedback — Algorithm 1 line 9: F_n = dJ_gen/dx computed
-//    through the discriminator *without* applying its parameter grads.
+//    through the discriminator *without* computing its parameter grads.
 // Keeping them in one place is what makes the N=1 equivalence property
 // (MD-GAN == standalone, bit-for-bit) testable. local_gan_step composes
 // them into the one local iteration the standalone GAN and every FL-GAN
@@ -38,19 +38,21 @@ struct DiscStepStats {
 };
 
 // One discriminator learning step on (X_r, y_r) vs (X_f, y_f): both
-// sides forward+backward, then one optimizer step. Gradients are zeroed
-// at entry, so callers never leak gradient state across steps.
+// sides forward, then a backward that produces only the parameter
+// gradients, then one optimizer step. Gradients are zeroed at entry, so
+// callers never leak gradient state across steps.
 DiscStepStats disc_learning_step(nn::Sequential& disc,
                                  opt::Adam& d_opt, const Tensor& x_real,
                                  const std::vector<int>& y_real,
                                  const Tensor& x_fake,
                                  const std::vector<int>& y_fake, bool acgan);
 
-// Computes F = dJ_gen/dx on a generated batch through `disc`. The
-// discriminator's own parameter gradients produced by this pass are
-// discarded (zeroed) — the worker only ships the input gradient. Returns
-// the (B, d) feedback tensor, which `disc` owns: it stays valid until
-// disc's next forward. `loss_out` (optional) receives J_gen.
+// Computes F = dJ_gen/dx on a generated batch through `disc`. The pass
+// produces the input gradient only — the worker ships nothing else — so
+// the discriminator's parameter gradients are neither computed nor
+// touched. Returns the (B, d) feedback tensor, which `disc` owns: it
+// stays valid until disc's next forward. `loss_out` (optional) receives
+// J_gen.
 const Tensor& generator_feedback(nn::Sequential& disc, const Tensor& x_fake,
                                  const std::vector<int>* y_fake,
                                  bool saturating, float* loss_out = nullptr);

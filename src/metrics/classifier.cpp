@@ -41,7 +41,7 @@ ScoringClassifier::ScoringClassifier(const data::InMemoryDataset& train_set,
     const Tensor& logits = head_.forward(h, /*train=*/true);
     auto loss = nn::softmax_cross_entropy(logits, labels);
     adam.zero_grad();
-    trunk_.backward(head_.backward(loss.grad));
+    trunk_.backward(head_.backward(loss.grad), nn::Grads::kParams);
     adam.step();
     last_loss = loss.value;
   }

@@ -22,22 +22,23 @@ void check_backward_shape(const Tensor* cached, const Tensor& grad,
 }  // namespace
 
 const Tensor& ReLU::forward(const Tensor& x, bool /*train*/) {
-  ws_.reset();
-  Tensor& y = ws_.acquire(x.shape());
+  cache_.ws.reset();
+  Tensor& y = cache_.ws.acquire(x.shape());
   const float* __restrict p = x.data();
   float* __restrict py = y.data();
   parallel_for(x.numel(), kParallelGrainElems, [&](std::size_t e0, std::size_t e1) {
     for (std::size_t i = e0; i < e1; ++i) py[i] = p[i] > 0.f ? p[i] : 0.f;
   });
-  cached_output_ = &y;
+  cache_.output = &y;
   return y;
 }
 
-const Tensor& ReLU::backward(const Tensor& grad_out) {
-  check_backward_shape(cached_output_, grad_out, "ReLU");
+const Tensor& ReLU::do_backward(const Tensor& grad_out, Grads want) {
+  check_backward_shape(cache_.output, grad_out, "ReLU");
+  if (!wants_input(want)) return no_input_grad();
   // y > 0 iff x > 0, so the output is its own mask.
-  Tensor& g = ws_.acquire(grad_out.shape());
-  const float* __restrict py = cached_output_->data();
+  Tensor& g = cache_.ws.acquire(grad_out.shape());
+  const float* __restrict py = cache_.output->data();
   const float* __restrict pg = grad_out.data();
   float* __restrict pd = g.data();
   // pg[i] is loaded unconditionally so the select can vectorize.
@@ -58,8 +59,8 @@ LeakyReLU::LeakyReLU(float alpha) : alpha_(alpha) {
 }
 
 const Tensor& LeakyReLU::forward(const Tensor& x, bool /*train*/) {
-  ws_.reset();
-  Tensor& y = ws_.acquire(x.shape());
+  cache_.ws.reset();
+  Tensor& y = cache_.ws.acquire(x.shape());
   const float* __restrict p = x.data();
   float* __restrict py = y.data();
   // The slope is read into a local before the loop: read through a
@@ -73,16 +74,17 @@ const Tensor& LeakyReLU::forward(const Tensor& x, bool /*train*/) {
                    py[i] = p[i] > 0.f ? p[i] : a * p[i];
                  }
                });
-  cached_output_ = &y;
+  cache_.output = &y;
   return y;
 }
 
-const Tensor& LeakyReLU::backward(const Tensor& grad_out) {
-  check_backward_shape(cached_output_, grad_out, "LeakyReLU");
+const Tensor& LeakyReLU::do_backward(const Tensor& grad_out, Grads want) {
+  check_backward_shape(cache_.output, grad_out, "LeakyReLU");
+  if (!wants_input(want)) return no_input_grad();
   // alpha >= 0 keeps sign(y) == sign(x), so the output is its own mask
   // (x <= 0 gives y = alpha*x <= 0 either way).
-  Tensor& g = ws_.acquire(grad_out.shape());
-  const float* __restrict py = cached_output_->data();
+  Tensor& g = cache_.ws.acquire(grad_out.shape());
+  const float* __restrict py = cache_.output->data();
   const float* __restrict pg = grad_out.data();
   float* __restrict pd = g.data();
   parallel_for(g.numel(), kParallelGrainElems,
@@ -96,8 +98,8 @@ const Tensor& LeakyReLU::backward(const Tensor& grad_out) {
 }
 
 const Tensor& Tanh::forward(const Tensor& x, bool /*train*/) {
-  ws_.reset();
-  Tensor& y = ws_.acquire(x.shape());
+  cache_.ws.reset();
+  Tensor& y = cache_.ws.acquire(x.shape());
   const float* __restrict p = x.data();
   float* __restrict py = y.data();
   // tanh is expensive; weigh it into the grain like softmax does.
@@ -107,14 +109,15 @@ const Tensor& Tanh::forward(const Tensor& x, bool /*train*/) {
                    py[i] = std::tanh(p[i]);
                  }
                });
-  cached_output_ = &y;
+  cache_.output = &y;
   return y;
 }
 
-const Tensor& Tanh::backward(const Tensor& grad_out) {
-  check_backward_shape(cached_output_, grad_out, "Tanh");
-  Tensor& g = ws_.acquire(grad_out.shape());
-  const float* __restrict py = cached_output_->data();
+const Tensor& Tanh::do_backward(const Tensor& grad_out, Grads want) {
+  check_backward_shape(cache_.output, grad_out, "Tanh");
+  if (!wants_input(want)) return no_input_grad();
+  Tensor& g = cache_.ws.acquire(grad_out.shape());
+  const float* __restrict py = cache_.output->data();
   const float* __restrict pg = grad_out.data();
   float* __restrict pd = g.data();
   parallel_for(g.numel(), kParallelGrainElems, [&](std::size_t e0, std::size_t e1) {
@@ -127,8 +130,8 @@ const Tensor& Tanh::backward(const Tensor& grad_out) {
 }
 
 const Tensor& Sigmoid::forward(const Tensor& x, bool /*train*/) {
-  ws_.reset();
-  Tensor& y = ws_.acquire(x.shape());
+  cache_.ws.reset();
+  Tensor& y = cache_.ws.acquire(x.shape());
   const float* __restrict p = x.data();
   float* __restrict py = y.data();
   parallel_for(x.numel(), kParallelGrainElems / 16,
@@ -137,14 +140,15 @@ const Tensor& Sigmoid::forward(const Tensor& x, bool /*train*/) {
                    py[i] = 1.f / (1.f + std::exp(-p[i]));
                  }
                });
-  cached_output_ = &y;
+  cache_.output = &y;
   return y;
 }
 
-const Tensor& Sigmoid::backward(const Tensor& grad_out) {
-  check_backward_shape(cached_output_, grad_out, "Sigmoid");
-  Tensor& g = ws_.acquire(grad_out.shape());
-  const float* __restrict py = cached_output_->data();
+const Tensor& Sigmoid::do_backward(const Tensor& grad_out, Grads want) {
+  check_backward_shape(cache_.output, grad_out, "Sigmoid");
+  if (!wants_input(want)) return no_input_grad();
+  Tensor& g = cache_.ws.acquire(grad_out.shape());
+  const float* __restrict py = cache_.output->data();
   const float* __restrict pg = grad_out.data();
   float* __restrict pd = g.data();
   parallel_for(g.numel(), kParallelGrainElems, [&](std::size_t e0, std::size_t e1) {

@@ -11,15 +11,26 @@
 
 namespace mdgan::nn {
 
+// What an activation keeps for backward: its workspace and the output
+// slot in it.
+struct ActivationCache {
+  Workspace ws;
+  const Tensor* output = nullptr;
+};
+
 class ReLU : public Layer {
  public:
   const Tensor& forward(const Tensor& x, bool train) override;
-  const Tensor& backward(const Tensor& grad_out) override;
+  void swap_cache(std::size_t slot) override {
+    swap_parked(cache_, parked_, slot);
+  }
   std::string name() const override { return "ReLU"; }
 
  private:
-  Workspace ws_;
-  const Tensor* cached_output_ = nullptr;
+  const Tensor& do_backward(const Tensor& grad_out, Grads want) override;
+
+  ActivationCache cache_;
+  std::vector<ActivationCache> parked_;
 };
 
 class LeakyReLU : public Layer {
@@ -28,36 +39,48 @@ class LeakyReLU : public Layer {
   // which only matches the input sign for non-negative slopes.
   explicit LeakyReLU(float alpha = 0.2f);
   const Tensor& forward(const Tensor& x, bool train) override;
-  const Tensor& backward(const Tensor& grad_out) override;
+  void swap_cache(std::size_t slot) override {
+    swap_parked(cache_, parked_, slot);
+  }
   std::string name() const override { return "LeakyReLU"; }
   float alpha() const { return alpha_; }
 
  private:
+  const Tensor& do_backward(const Tensor& grad_out, Grads want) override;
+
   float alpha_;
-  Workspace ws_;
-  const Tensor* cached_output_ = nullptr;
+  ActivationCache cache_;
+  std::vector<ActivationCache> parked_;
 };
 
 class Tanh : public Layer {
  public:
   const Tensor& forward(const Tensor& x, bool train) override;
-  const Tensor& backward(const Tensor& grad_out) override;
+  void swap_cache(std::size_t slot) override {
+    swap_parked(cache_, parked_, slot);
+  }
   std::string name() const override { return "Tanh"; }
 
  private:
-  Workspace ws_;
-  const Tensor* cached_output_ = nullptr;
+  const Tensor& do_backward(const Tensor& grad_out, Grads want) override;
+
+  ActivationCache cache_;
+  std::vector<ActivationCache> parked_;
 };
 
 class Sigmoid : public Layer {
  public:
   const Tensor& forward(const Tensor& x, bool train) override;
-  const Tensor& backward(const Tensor& grad_out) override;
+  void swap_cache(std::size_t slot) override {
+    swap_parked(cache_, parked_, slot);
+  }
   std::string name() const override { return "Sigmoid"; }
 
  private:
-  Workspace ws_;
-  const Tensor* cached_output_ = nullptr;
+  const Tensor& do_backward(const Tensor& grad_out, Grads want) override;
+
+  ActivationCache cache_;
+  std::vector<ActivationCache> parked_;
 };
 
 }  // namespace mdgan::nn

@@ -17,7 +17,6 @@ BatchNorm::BatchNorm(std::size_t channels, float momentum, float eps)
       running_var_({channels}, 1.f),
       mean_({channels}),
       var_({channels}),
-      inv_std_({channels}),
       sum_g_({channels}),
       sum_gx_({channels}) {}
 
@@ -74,17 +73,19 @@ const Tensor& BatchNorm::forward(const Tensor& x, bool train) {
     }
   }
 
+  Tensor& inv_std = cache_.inv_std;
+  inv_std.resize({channels_});
   for (std::size_t c = 0; c < channels_; ++c) {
-    inv_std_[c] = 1.f / std::sqrt(var[c] + eps_);
+    inv_std[c] = 1.f / std::sqrt(var[c] + eps_);
   }
 
   y_.resize(x.shape());
-  xhat_.resize(x.shape());
+  cache_.xhat.resize(x.shape());
   float* py = y_.data();
-  float* ph = xhat_.data();
+  float* ph = cache_.xhat.data();
   for (std::size_t o = 0; o < outer; ++o) {
     for (std::size_t c = 0; c < channels_; ++c) {
-      const float m = mean[c], is = inv_std_[c];
+      const float m = mean[c], is = inv_std[c];
       const float g = gamma_[c], bt = beta_[c];
       const std::size_t base = (o * channels_ + c) * inner;
       for (std::size_t i = 0; i < inner; ++i) {
@@ -97,8 +98,8 @@ const Tensor& BatchNorm::forward(const Tensor& x, bool train) {
   return y_;
 }
 
-const Tensor& BatchNorm::backward(const Tensor& grad_out) {
-  const Shape& shape = xhat_.shape();
+const Tensor& BatchNorm::do_backward(const Tensor& grad_out, Grads want) {
+  const Shape& shape = cache_.xhat.shape();
   if (grad_out.shape() != shape) {
     throw std::invalid_argument("BatchNorm::backward: grad shape mismatch");
   }
@@ -106,7 +107,7 @@ const Tensor& BatchNorm::backward(const Tensor& grad_out) {
   split_dims(shape, outer, inner, "BatchNorm::backward");
   const std::size_t n_per_ch = outer * inner;
   const float* pg = grad_out.data();
-  const float* ph = xhat_.data();
+  const float* ph = cache_.xhat.data();
 
   // Per-channel reductions: sum(g), sum(g*xhat).
   sum_g_.zero();
@@ -123,8 +124,11 @@ const Tensor& BatchNorm::backward(const Tensor& grad_out) {
       sum_gx_[c] += static_cast<float>(sgx);
     }
   }
-  dbeta_ += sum_g_;
-  dgamma_ += sum_gx_;
+  if (wants_params(want)) {
+    dbeta_ += sum_g_;
+    dgamma_ += sum_gx_;
+  }
+  if (!wants_input(want)) return no_input_grad();
 
   // dx = gamma * inv_std / n * (n*g - sum(g) - xhat * sum(g*xhat))
   // (training-mode batch statistics are part of the graph).
@@ -133,7 +137,7 @@ const Tensor& BatchNorm::backward(const Tensor& grad_out) {
   const float inv_n = 1.f / static_cast<float>(n_per_ch);
   for (std::size_t o = 0; o < outer; ++o) {
     for (std::size_t c = 0; c < channels_; ++c) {
-      const float coef = gamma_[c] * inv_std_[c] * inv_n;
+      const float coef = gamma_[c] * cache_.inv_std[c] * inv_n;
       const float sg = sum_g_[c], sgx = sum_gx_[c];
       const std::size_t base = (o * channels_ + c) * inner;
       for (std::size_t i = 0; i < inner; ++i) {

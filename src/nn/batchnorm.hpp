@@ -14,7 +14,9 @@ class BatchNorm : public Layer {
                      float eps = 1e-5f);
 
   const Tensor& forward(const Tensor& x, bool train) override;
-  const Tensor& backward(const Tensor& grad_out) override;
+  void swap_cache(std::size_t slot) override {
+    swap_parked(cache_, parked_, slot);
+  }
   std::vector<Tensor*> params() override { return {&gamma_, &beta_}; }
   std::vector<Tensor*> grads() override { return {&dgamma_, &dbeta_}; }
   std::string name() const override { return "BatchNorm"; }
@@ -23,6 +25,14 @@ class BatchNorm : public Layer {
   const Tensor& running_var() const { return running_var_; }
 
  private:
+  const Tensor& do_backward(const Tensor& grad_out, Grads want) override;
+
+  // What backward reads: the normalized input and 1/sqrt(var + eps),
+  // resized in place when the batch shape changes.
+  struct Cache {
+    Tensor xhat, inv_std;
+  };
+
   // Decomposes shape into (outer=batch, C, inner=spatial) around the
   // channel axis; throws on unsupported ranks.
   void split_dims(const Shape& s, std::size_t& outer, std::size_t& inner,
@@ -32,12 +42,13 @@ class BatchNorm : public Layer {
   float momentum_, eps_;
   Tensor gamma_, beta_, dgamma_, dbeta_;
   Tensor running_mean_, running_var_;
-  // Per-channel scratch, sized once: the batch statistics, 1/sqrt(var +
-  // eps) (cached for backward) and backward's two reductions.
-  Tensor mean_, var_, inv_std_, sum_g_, sum_gx_;
-  // The two results and the normalized input (cached for backward),
-  // resized in place when the batch shape changes.
-  Tensor y_, dx_, xhat_;
+  // Per-channel scratch, sized once: the batch statistics and
+  // backward's two reductions.
+  Tensor mean_, var_, sum_g_, sum_gx_;
+  // The two results, resized in place when the batch shape changes.
+  Tensor y_, dx_;
+  Cache cache_;
+  std::vector<Cache> parked_;
 };
 
 }  // namespace mdgan::nn

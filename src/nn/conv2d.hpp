@@ -18,7 +18,9 @@ class Conv2D : public Layer {
 
   // x must be (B, in_channels, H, W); returns (B, out_channels, oh, ow).
   const Tensor& forward(const Tensor& x, bool train) override;
-  const Tensor& backward(const Tensor& grad_out) override;
+  void swap_cache(std::size_t slot) override {
+    swap_parked(cache_, parked_, slot);
+  }
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }
   std::string name() const override { return "Conv2D"; }
@@ -27,13 +29,20 @@ class Conv2D : public Layer {
   std::size_t out_channels() const { return oc_; }
 
  private:
+  const Tensor& do_backward(const Tensor& grad_out, Grads want) override;
+
+  // Forward caches for backward (workspace slots, set by forward).
+  struct Cache {
+    Workspace ws;
+    const Tensor* cols = nullptr;  // (B*oh*ow, ic*kh*kw)
+    Shape input_shape;
+    std::size_t oh = 0, ow = 0;
+  };
+
   std::size_t ic_, oc_, kh_, kw_, stride_, pad_;
   Tensor w_, b_, dw_, db_;
-  Workspace ws_;
-  // Forward caches for backward (workspace slots, set by forward).
-  const Tensor* cached_cols_ = nullptr;  // (B*oh*ow, ic*kh*kw)
-  Shape cached_input_shape_;
-  std::size_t oh_ = 0, ow_ = 0;
+  Cache cache_;
+  std::vector<Cache> parked_;
 };
 
 }  // namespace mdgan::nn

@@ -20,7 +20,9 @@ class ConvTranspose2D : public Layer {
                   std::size_t pad = 0);
 
   const Tensor& forward(const Tensor& x, bool train) override;
-  const Tensor& backward(const Tensor& grad_out) override;
+  void swap_cache(std::size_t slot) override {
+    swap_parked(cache_, parked_, slot);
+  }
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }
   std::string name() const override { return "ConvTranspose2D"; }
@@ -28,14 +30,22 @@ class ConvTranspose2D : public Layer {
   Tensor& weight() { return w_; }
 
  private:
+  const Tensor& do_backward(const Tensor& grad_out, Grads want) override;
+
+  // Forward caches for backward (workspace slots, set by forward).
+  struct Cache {
+    Workspace ws;
+    const Tensor* x_mat = nullptr;  // (B*H*W, IC)
+    Shape input_shape;
+    std::size_t out_h = 0, out_w = 0;
+  };
+
   std::size_t ic_, oc_, kh_, kw_, stride_, pad_;
   // Stored as (IC, OC*kh*kw): row c_in holds the patch this input channel
   // contributes to the output, matching the underlying-conv orientation.
   Tensor w_, b_, dw_, db_;
-  Workspace ws_;
-  const Tensor* cached_x_mat_ = nullptr;  // (B*H*W, IC) ws slot
-  Shape cached_input_shape_;
-  std::size_t out_h_ = 0, out_w_ = 0;
+  Cache cache_;
+  std::vector<Cache> parked_;
 };
 
 }  // namespace mdgan::nn

@@ -43,30 +43,35 @@ const Tensor& Dense::forward(const Tensor& x, bool train) {
                                 std::to_string(in_) + "), got " +
                                 shape_to_string(x.shape()));
   }
-  ws_.reset();
-  Tensor& xc = ws_.acquire(x.shape());
+  Workspace& ws = cache_.ws;
+  ws.reset();
+  Tensor& xc = ws.acquire(x.shape());
   std::copy_n(x.data(), x.numel(), xc.data());
-  cached_input_ = &xc;
+  cache_.input = &xc;
 
-  Tensor& y = ws_.acquire({x.dim(0), out_});
+  Tensor& y = ws.acquire({x.dim(0), out_});
   BiasEpilogue ep{y.data(), out_, b_.data()};
   GemmTileHook hook{&ep, bias_epilogue};
   matmul_into(y, xc, w_, /*trans_a=*/false, /*trans_b=*/false, &hook);
   return y;
 }
 
-const Tensor& Dense::backward(const Tensor& grad_out) {
-  if (!cached_input_) {
+const Tensor& Dense::do_backward(const Tensor& grad_out, Grads want) {
+  const Tensor* input = cache_.input;
+  if (!input) {
     throw std::logic_error("Dense::backward: no forward pass cached");
   }
   if (grad_out.rank() != 2 || grad_out.dim(1) != out_ ||
-      grad_out.dim(0) != cached_input_->dim(0)) {
+      grad_out.dim(0) != input->dim(0)) {
     throw std::invalid_argument("Dense::backward: bad grad shape " +
                                 shape_to_string(grad_out.shape()));
   }
-  matmul_acc(dw_, *cached_input_, grad_out, /*trans_a=*/true);
-  sum_rows_acc(db_, grad_out);
-  Tensor& dx = ws_.acquire({grad_out.dim(0), in_});
+  if (wants_params(want)) {
+    matmul_acc(dw_, *input, grad_out, /*trans_a=*/true);
+    sum_rows_acc(db_, grad_out);
+  }
+  if (!wants_input(want)) return no_input_grad();
+  Tensor& dx = cache_.ws.acquire({grad_out.dim(0), in_});
   matmul_into(dx, grad_out, w_, /*trans_a=*/false, /*trans_b=*/true);
   return dx;
 }

@@ -17,7 +17,9 @@ class Dense : public Layer {
   Dense(std::size_t in_features, std::size_t out_features);
 
   const Tensor& forward(const Tensor& x, bool train) override;
-  const Tensor& backward(const Tensor& grad_out) override;
+  void swap_cache(std::size_t slot) override {
+    swap_parked(cache_, parked_, slot);
+  }
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }
   std::string name() const override { return "Dense"; }
@@ -28,10 +30,17 @@ class Dense : public Layer {
   Tensor& bias() { return b_; }
 
  private:
+  const Tensor& do_backward(const Tensor& grad_out, Grads want) override;
+
+  struct Cache {
+    Workspace ws;
+    const Tensor* input = nullptr;  // ws copy, set by forward
+  };
+
   std::size_t in_, out_;
   Tensor w_, b_, dw_, db_;
-  Workspace ws_;
-  const Tensor* cached_input_ = nullptr;  // ws copy, set by forward
+  Cache cache_;
+  std::vector<Cache> parked_;
 };
 
 }  // namespace mdgan::nn

@@ -24,17 +24,18 @@ const Tensor& MinibatchDiscrimination::forward(const Tensor& x,
         "MinibatchDiscrimination::forward: expected (B," +
         std::to_string(in_) + "), got " + shape_to_string(x.shape()));
   }
-  ws_.reset();
-  Tensor& xc = ws_.acquire(x.shape());
+  Workspace& ws = cache_.ws;
+  ws.reset();
+  Tensor& xc = ws.acquire(x.shape());
   std::copy_n(x.data(), x.numel(), xc.data());
-  cached_input_ = &xc;
+  cache_.input = &xc;
 
-  Tensor& m_t = ws_.acquire({x.dim(0), num_kernels_ * kernel_dim_});
+  Tensor& m_t = ws.acquire({x.dim(0), num_kernels_ * kernel_dim_});
   matmul_into(m_t, xc, t_);  // (B, Bd*Cd)
-  cached_m_ = &m_t;
+  cache_.m = &m_t;
 
   const std::size_t batch = x.dim(0);
-  Tensor& y = ws_.acquire({batch, in_ + num_kernels_});
+  Tensor& y = ws.acquire({batch, in_ + num_kernels_});
   // Copy-through of the input features.
   const std::size_t out_w = in_ + num_kernels_;
   for (std::size_t i = 0; i < batch; ++i) {
@@ -60,24 +61,25 @@ const Tensor& MinibatchDiscrimination::forward(const Tensor& x,
   return y;
 }
 
-const Tensor& MinibatchDiscrimination::backward(const Tensor& grad_out) {
-  if (!cached_input_ || !cached_m_) {
+const Tensor& MinibatchDiscrimination::do_backward(const Tensor& grad_out,
+                                                   Grads want) {
+  if (!cache_.input || !cache_.m) {
     throw std::logic_error(
         "MinibatchDiscrimination::backward: no forward pass cached");
   }
-  const std::size_t batch = cached_input_->dim(0);
+  const std::size_t batch = cache_.input->dim(0);
   if (grad_out.rank() != 2 || grad_out.dim(0) != batch ||
       grad_out.dim(1) != in_ + num_kernels_) {
     throw std::invalid_argument(
         "MinibatchDiscrimination::backward: bad grad shape " +
         shape_to_string(grad_out.shape()));
   }
-  const float* m = cached_m_->data();
+  const float* m = cache_.m->data();
 
   // dL/dM. For each unordered pair (i, j) and kernel b the term
   // exp(-||M_ib - M_jb||_1) contributes to both o_ib and o_jb, and the
   // sign pattern of (M_ibc - M_jbc) routes the gradient.
-  Tensor& dm = ws_.acquire({batch, num_kernels_ * kernel_dim_});
+  Tensor& dm = cache_.ws.acquire({batch, num_kernels_ * kernel_dim_});
   dm.zero();
   for (std::size_t i = 0; i < batch; ++i) {
     for (std::size_t j = i + 1; j < batch; ++j) {
@@ -105,8 +107,9 @@ const Tensor& MinibatchDiscrimination::backward(const Tensor& grad_out) {
   }
 
   // dT += x^T dM ; dx = dM T^T + pass-through grad on the copied features.
-  matmul_acc(dt_, *cached_input_, dm, /*trans_a=*/true);
-  Tensor& dx = ws_.acquire({batch, in_});
+  if (wants_params(want)) matmul_acc(dt_, *cache_.input, dm, /*trans_a=*/true);
+  if (!wants_input(want)) return no_input_grad();
+  Tensor& dx = cache_.ws.acquire({batch, in_});
   matmul_into(dx, dm, t_, /*trans_a=*/false, /*trans_b=*/true);
   const std::size_t out_w = in_ + num_kernels_;
   for (std::size_t i = 0; i < batch; ++i) {

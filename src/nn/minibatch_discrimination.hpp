@@ -21,7 +21,9 @@ class MinibatchDiscrimination : public Layer {
                           std::size_t kernel_dim);
 
   const Tensor& forward(const Tensor& x, bool train) override;
-  const Tensor& backward(const Tensor& grad_out) override;
+  void swap_cache(std::size_t slot) override {
+    swap_parked(cache_, parked_, slot);
+  }
   std::vector<Tensor*> params() override { return {&t_}; }
   std::vector<Tensor*> grads() override { return {&dt_}; }
   std::string name() const override { return "MinibatchDiscrimination"; }
@@ -30,11 +32,19 @@ class MinibatchDiscrimination : public Layer {
   Tensor& kernel() { return t_; }
 
  private:
+  const Tensor& do_backward(const Tensor& grad_out, Grads want) override;
+
+  // Forward caches for backward (workspace slots, set by forward).
+  struct Cache {
+    Workspace ws;
+    const Tensor* input = nullptr;  // (B, in) ws copy
+    const Tensor* m = nullptr;      // (B, num_kernels*kernel_dim)
+  };
+
   std::size_t in_, num_kernels_, kernel_dim_;
   Tensor t_, dt_;  // (in, num_kernels*kernel_dim)
-  Workspace ws_;
-  const Tensor* cached_input_ = nullptr;  // (B, in) ws copy
-  const Tensor* cached_m_ = nullptr;      // (B, num_kernels*kernel_dim)
+  Cache cache_;
+  std::vector<Cache> parked_;
 };
 
 }  // namespace mdgan::nn

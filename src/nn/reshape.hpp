@@ -11,31 +11,46 @@
 
 namespace mdgan::nn {
 
+// What Reshape and Flatten keep for backward: the input shape, and the
+// workspace the result lands in.
+struct ShapeCache {
+  Workspace ws;
+  Shape input_shape;
+};
+
 class Reshape : public Layer {
  public:
   // `inner` is the per-sample shape; batch dim is preserved.
   explicit Reshape(Shape inner) : inner_(std::move(inner)) {}
 
   const Tensor& forward(const Tensor& x, bool train) override;
-  const Tensor& backward(const Tensor& grad_out) override;
+  void swap_cache(std::size_t slot) override {
+    swap_parked(cache_, parked_, slot);
+  }
   std::string name() const override { return "Reshape"; }
 
  private:
+  const Tensor& do_backward(const Tensor& grad_out, Grads want) override;
+
   Shape inner_;
-  Shape cached_input_shape_;
   Shape target_;  // {batch} + inner_, rebuilt only when batch changes
-  Workspace ws_;
+  ShapeCache cache_;
+  std::vector<ShapeCache> parked_;
 };
 
 class Flatten : public Layer {
  public:
   const Tensor& forward(const Tensor& x, bool train) override;
-  const Tensor& backward(const Tensor& grad_out) override;
+  void swap_cache(std::size_t slot) override {
+    swap_parked(cache_, parked_, slot);
+  }
   std::string name() const override { return "Flatten"; }
 
  private:
-  Shape cached_input_shape_;
-  Workspace ws_;
+  const Tensor& do_backward(const Tensor& grad_out, Grads want) override;
+
+  ShapeCache cache_;
+  std::vector<ShapeCache> parked_;
 };
 
 }  // namespace mdgan::nn

@@ -12,12 +12,29 @@ const Tensor& Sequential::forward(const Tensor& x, bool train) {
   return *h;
 }
 
-const Tensor& Sequential::backward(const Tensor& grad_out) {
-  const Tensor* g = &grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = &(*it)->backward(*g);
+void Sequential::append(LayerPtr layer) {
+  if (lowest_with_params_ == static_cast<std::size_t>(-1) &&
+      !layer->params().empty()) {
+    lowest_with_params_ = layers_.size();
   }
-  return *g;
+  layers_.push_back(std::move(layer));
+}
+
+const Tensor& Sequential::do_backward(const Tensor& grad_out, Grads want) {
+  const bool input = wants_input(want);
+  // The lowest layer that runs: the first one for dL/dx, else the lowest
+  // with parameters (none runs when no layer has any).
+  const std::size_t lowest = input ? 0 : lowest_with_params_;
+  const Grads above = wants_params(want) ? Grads::kBoth : Grads::kInput;
+  const Tensor* g = &grad_out;
+  for (std::size_t i = layers_.size(); i-- > lowest;) {
+    g = &layers_[i]->backward(*g, input || i > lowest ? above : want);
+  }
+  return input ? *g : no_input_grad();
+}
+
+void Sequential::swap_cache(std::size_t slot) {
+  for (auto& layer : layers_) layer->swap_cache(slot);
 }
 
 std::vector<Tensor*> Sequential::params() {

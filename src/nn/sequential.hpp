@@ -25,18 +25,22 @@ class Sequential : public Layer {
   L* emplace(Args&&... args) {
     auto layer = std::make_unique<L>(std::forward<Args>(args)...);
     L* raw = layer.get();
-    layers_.push_back(std::move(layer));
+    append(std::move(layer));
     return raw;
   }
-  void append(LayerPtr layer) { layers_.push_back(std::move(layer)); }
+  void append(LayerPtr layer);
 
   std::size_t num_layers() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_.at(i); }
 
   // Chains the layers' passes; the returned reference lives in the last
-  // (resp. first) layer's scratch.
+  // (resp. first) layer's scratch. Backward asks a layer for its input
+  // gradient only while the caller wants dL/dx or a layer below it has
+  // parameters: with kParams alone, the lowest layer with parameters
+  // skips its input gradient and the layers below it do not run.
   const Tensor& forward(const Tensor& x, bool train) override;
-  const Tensor& backward(const Tensor& grad_out) override;
+  // Swaps every layer's cache with its parked slot `slot`.
+  void swap_cache(std::size_t slot) override;
   std::vector<Tensor*> params() override;
   std::vector<Tensor*> grads() override;
   std::string name() const override { return "Sequential"; }
@@ -54,7 +58,11 @@ class Sequential : public Layer {
   std::string summary();
 
  private:
+  const Tensor& do_backward(const Tensor& grad_out, Grads want) override;
+
   std::vector<LayerPtr> layers_;
+  // Index of the lowest layer with parameters; SIZE_MAX while none has.
+  std::size_t lowest_with_params_ = static_cast<std::size_t>(-1);
 };
 
 }  // namespace mdgan::nn

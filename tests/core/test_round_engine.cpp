@@ -18,7 +18,9 @@
 #include "data/synthetic.hpp"
 #include "dist/sim_network.hpp"
 #include "gan/arch.hpp"
+#include "gan/gan_loss.hpp"
 #include "gan/trainer.hpp"
+#include "nn/batchnorm.hpp"
 
 namespace mdgan::core {
 namespace {
@@ -342,13 +344,55 @@ TEST(RoundEngine, MissingFeedbackFromLiveWorkerStillThrows) {
 
 // --- trainer-level tests ------------------------------------------------
 
+// Shards of `arch`'s image shape.
+std::vector<data::InMemoryDataset> arch_shards(const gan::GanArch& arch,
+                                               std::size_t n_workers,
+                                               std::size_t per_shard,
+                                               std::uint64_t seed) {
+  const std::size_t total = n_workers * per_shard;
+  data::InMemoryDataset full =
+      arch.kind == gan::ArchKind::kCnnCifar
+          ? data::make_synthetic_cifar(total, seed)
+      : arch.kind == gan::ArchKind::kCnnCeleba
+          ? data::make_synthetic_faces(total, seed, arch.image.height)
+          : data::make_synthetic_digits(total, seed);
+  Rng rng(seed);
+  return data::split_iid(full, n_workers, rng);
+}
+
+// The worker's two passes as full backwards: every layer produces every
+// gradient, and the feedback pass zeroes the parameter gradients it
+// made.
+void full_disc_step(nn::Sequential& d, opt::Adam& d_opt, const Tensor& x_real,
+                    const std::vector<int>& y_real, const Tensor& x_fake,
+                    const std::vector<int>& y_fake, bool acgan) {
+  d_opt.zero_grad();
+  auto real = gan::disc_side_loss(d.forward(x_real, /*train=*/true), true,
+                                  acgan ? &y_real : nullptr);
+  d.backward(real.grad);
+  auto fake = gan::disc_side_loss(d.forward(x_fake, /*train=*/true), false,
+                                  acgan ? &y_fake : nullptr);
+  d.backward(fake.grad);
+  d_opt.step();
+}
+
+Tensor full_feedback(nn::Sequential& d, const Tensor& x,
+                     const std::vector<int>* y, bool saturating) {
+  auto gl = gan::generator_loss(d.forward(x, /*train=*/true), y, saturating);
+  Tensor f = d.backward(gl.grad);
+  d.zero_grad();
+  return f;
+}
+
 // Straight-line reference implementation of the pre-engine synchronous
 // MD-GAN loop: same seed-derived RNG streams, same SPLIT rule, same
 // sender-ordered fold, same swap replay (θ only, Adam moments reset) —
 // but no Transport, no engine, no MdGan, and the workers' local steps
-// run one after another in id order. The engine-driven trainer, whose
-// workers run concurrently on the compute pool, must reproduce it bit
-// for bit.
+// run one after another in id order. Every backward is a full one, and
+// the fold re-forwards G on each latent batch. The engine-driven
+// trainer, whose workers run concurrently on the compute pool, whose
+// backwards produce only the gradients read and whose fold reuses the
+// broadcast's activations, must reproduce it bit for bit.
 std::vector<float> reference_sync_train(
     const gan::GanArch& arch, const gan::GanHyperParams& hp, std::size_t k,
     std::vector<data::InMemoryDataset> shards, std::uint64_t seed,
@@ -409,14 +453,14 @@ std::vector<float> reference_sync_train(
       std::vector<int> y_real;
       Tensor x_real = shard.sample_batch(wrng, b, &y_real);
       for (std::size_t l = 0; l < hp.disc_steps; ++l) {
-        gan::disc_learning_step(disc.net, *disc.opt, x_real, y_real,
-                                generated[di], labels[di], arch.acgan);
+        full_disc_step(disc.net, *disc.opt, x_real, y_real, generated[di],
+                       labels[di], arch.acgan);
       }
       feedbacks.push_back(
           {disc.holder, static_cast<std::uint32_t>(gi),
-           gan::generator_feedback(disc.net, generated[gi],
-                                   arch.acgan ? &labels[gi] : nullptr,
-                                   hp.saturating)});
+           full_feedback(disc.net, generated[gi],
+                         arch.acgan ? &labels[gi] : nullptr,
+                         hp.saturating)});
     }
     std::sort(feedbacks.begin(), feedbacks.end(),
               [](const RefFeedback& a, const RefFeedback& b2) {
@@ -473,28 +517,77 @@ std::vector<float> reference_sync_train(
   return g.flatten_parameters();
 }
 
-// The pooled trainer equals the serial reference: running the workers
-// concurrently changes no bit of the generator.
+// The pooled trainer equals the serial reference for every
+// architecture: running the workers concurrently, computing only the
+// gradients each pass reads and folding through the parked activations
+// change no bit of the generator. The CNN generators' BatchNorm running
+// estimates differ (the reference updates them twice per batch), but
+// train-mode BatchNorm reads batch statistics, so G's parameters do not.
 TEST(RoundEngineMdGan, SyncEngineMatchesReferenceTrainerBitForBit) {
   const std::uint64_t seed = 61;
   const std::size_t n = 3, per_shard = 16;
   const std::int64_t iters = 5;  // period 2: swaps at 2 and 4
-  const auto arch = gan::make_arch(gan::ArchKind::kMlpMnist);
   gan::GanHyperParams hp;
   hp.batch = 8;
   hp.disc_steps = 1;
 
-  const auto shards = shards_for(n, per_shard, seed);
-  const auto want = reference_sync_train(arch, hp, /*k=*/2, shards, seed,
-                                         iters, /*swap_enabled=*/true);
+  for (const auto kind : {gan::ArchKind::kMlpMnist, gan::ArchKind::kCnnMnist,
+                          gan::ArchKind::kCnnCifar, gan::ArchKind::kCnnCeleba}) {
+    const auto arch = gan::make_arch(kind);
+    SCOPED_TRACE(gan::arch_name(kind));
+    const auto shards = arch_shards(arch, n, per_shard, seed);
+    const auto want = reference_sync_train(arch, hp, /*k=*/2, shards, seed,
+                                           iters, /*swap_enabled=*/true);
 
-  dist::SimNetwork net(n);
+    dist::SimNetwork net(n);
+    MdGanConfig cfg;
+    cfg.hp = hp;
+    cfg.k = 2;
+    MdGan md(arch, cfg, shards, seed, net);
+    md.train(iters);
+    EXPECT_EQ(md.generator().flatten_parameters(), want);
+  }
+}
+
+// The sync fold backpropagates through the activations broadcast
+// parked, so a round updates each BatchNorm's running estimates once
+// per generated batch: exactly as a fresh copy of the round's G
+// forwarded once on each of the round's batches.
+TEST(RoundEngineMdGan, SyncRoundUpdatesBatchNormOncePerGeneratedBatch) {
+  const std::uint64_t seed = 71;
+  const std::size_t n = 2, k = 2;
+  const auto arch = gan::make_arch(gan::ArchKind::kCnnMnist);
   MdGanConfig cfg;
-  cfg.hp = hp;
-  cfg.k = 2;
-  MdGan md(arch, cfg, shards, seed, net);
-  md.train(iters);
-  EXPECT_EQ(md.generator().flatten_parameters(), want);
+  cfg.hp.batch = 8;
+  cfg.hp.disc_steps = 1;
+  cfg.k = k;
+  dist::SimNetwork net(n);
+  MdGan md(arch, cfg, arch_shards(arch, n, 16, seed), seed, net);
+  md.train(1);
+
+  Rng init_rng = Rng(seed).split(0x1417);
+  nn::Sequential fresh = gan::build_generator(arch, init_rng);
+  Rng server_rng = Rng(seed).split(0x5e1);
+  gan::ClassCodes codes(arch.image.num_classes, arch.latent_dim);
+  for (std::size_t j = 0; j < k; ++j) {
+    std::vector<int> labels;
+    const Tensor z =
+        gan::sample_latent(arch, codes, cfg.hp.batch, server_rng, labels);
+    fresh.forward(z, /*train=*/true);
+  }
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < fresh.num_layers(); ++i) {
+    const auto* want = dynamic_cast<const nn::BatchNorm*>(&fresh.layer(i));
+    if (want == nullptr) continue;
+    const auto& got =
+        dynamic_cast<const nn::BatchNorm&>(md.generator().layer(i));
+    EXPECT_EQ(got.running_mean().vec(), want->running_mean().vec())
+        << "layer " << i;
+    EXPECT_EQ(got.running_var().vec(), want->running_var().vec())
+        << "layer " << i;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 2u);
 }
 
 // Likewise without swaps: pooled workers, serial reference.

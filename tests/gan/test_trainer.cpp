@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "data/synthetic.hpp"
+#include "gan/gan_loss.hpp"
 #include "nn/loss.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -40,11 +43,25 @@ TEST(DiscLearningStep, ImprovesDiscriminationOnFixedBatches) {
             first.loss_real + first.loss_fake);
 }
 
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Fills every gradient buffer of `net` with non-zero values.
+void prefill_grads(nn::Sequential& net, Rng& rng) {
+  for (auto* g : net.grads()) rng.fill_normal(g->data(), g->numel(), 0.f, 1.f);
+}
+
 TEST(GeneratorFeedback, ShapeMatchesInputAndParamsUntouched) {
   Rng rng(82);
   GanArch arch = make_arch(ArchKind::kMlpMnist);
   auto d = build_discriminator(arch, rng);
   const auto params_before = d.flatten_parameters();
+  // The pass computes no parameter gradient, so gradients left by
+  // anything before it stay exactly as they were.
+  prefill_grads(d, rng);
+  const auto grads_before = d.flatten_gradients();
 
   Tensor x_fake = Tensor::randn({4, 784}, rng);
   std::vector<int> labels{1, 2, 3, 4};
@@ -54,9 +71,83 @@ TEST(GeneratorFeedback, ShapeMatchesInputAndParamsUntouched) {
   EXPECT_EQ(f.shape(), x_fake.shape());
   EXPECT_GT(loss, 0.f);
   EXPECT_EQ(d.flatten_parameters(), params_before);
-  // Parameter grads were zeroed after the pass.
-  for (auto* g : d.grads()) EXPECT_FLOAT_EQ(g->norm(), 0.f);
+  EXPECT_TRUE(same_bits(d.flatten_gradients(), grads_before));
 }
+
+// Every discriminator architecture: the two worker passes that ask for
+// one kind of gradient give exactly what the full backward gives.
+class EveryArch : public ::testing::TestWithParam<ArchKind> {};
+
+std::vector<int> cycling_labels(const GanArch& arch, std::size_t b,
+                                std::size_t first = 0) {
+  std::vector<int> y(b);
+  for (std::size_t i = 0; i < b; ++i) {
+    y[i] = static_cast<int>((first + i) % arch.image.num_classes);
+  }
+  return y;
+}
+
+TEST_P(EveryArch, FeedbackIsTheFullInputGradientAndLeavesGradsAlone) {
+  const GanArch arch = make_arch(GetParam());
+  Rng rng(84);
+  auto d = build_discriminator(arch, rng);
+  const std::size_t b = 4;
+  const Tensor x = Tensor::randn({b, arch.image_dim()}, rng, 0.f, 0.5f);
+  const std::vector<int> labels = cycling_labels(arch, b);
+  const std::vector<int>* y = arch.acgan ? &labels : nullptr;
+
+  SideLoss gl = generator_loss(d.forward(x, /*train=*/true), y, false);
+  const Tensor want = d.backward(gl.grad);
+
+  prefill_grads(d, rng);
+  const auto grads_before = d.flatten_gradients();
+  const Tensor& f = generator_feedback(d, x, y, false);
+  EXPECT_EQ(f.shape(), want.shape());
+  EXPECT_TRUE(same_bits(f.vec(), want.vec()));
+  EXPECT_TRUE(same_bits(d.flatten_gradients(), grads_before));
+}
+
+TEST_P(EveryArch, LearningStepMatchesAStepBuiltFromFullBackwards) {
+  const GanArch arch = make_arch(GetParam());
+  Rng init(85);
+  auto d = build_discriminator(arch, init);
+  Rng init_again(85);
+  auto ref = build_discriminator(arch, init_again);
+  opt::Adam d_opt(d.params(), d.grads(), tiny_hp().d_adam);
+  opt::Adam ref_opt(ref.params(), ref.grads(), tiny_hp().d_adam);
+
+  Rng rng(86);
+  const std::size_t b = 4;
+  const std::vector<int> y_real = cycling_labels(arch, b);
+  const std::vector<int> y_fake = cycling_labels(arch, b, /*first=*/5);
+  for (int step = 0; step < 2; ++step) {
+    const Tensor x_real = Tensor::randn({b, arch.image_dim()}, rng, 0.f, 0.5f);
+    const Tensor x_fake = Tensor::randn({b, arch.image_dim()}, rng, 0.f, 0.5f);
+    disc_learning_step(d, d_opt, x_real, y_real, x_fake, y_fake, arch.acgan);
+
+    ref_opt.zero_grad();
+    SideLoss real = disc_side_loss(ref.forward(x_real, /*train=*/true), true,
+                                   arch.acgan ? &y_real : nullptr);
+    ref.backward(real.grad);
+    SideLoss fake = disc_side_loss(ref.forward(x_fake, /*train=*/true), false,
+                                   arch.acgan ? &y_fake : nullptr);
+    ref.backward(fake.grad);
+    ref_opt.step();
+  }
+  EXPECT_TRUE(same_bits(d.flatten_parameters(), ref.flatten_parameters()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllDiscriminators, EveryArch,
+    ::testing::Values(ArchKind::kMlpMnist, ArchKind::kCnnMnist,
+                      ArchKind::kCnnCifar, ArchKind::kCnnCeleba),
+    [](const ::testing::TestParamInfo<ArchKind>& info) {
+      std::string name = arch_name(info.param);
+      for (char& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
 
 TEST(GeneratorFeedback, MatchesDirectFiniteDifference) {
   // F = dJ/dx: perturbing one input pixel changes J by ~F[i]*eps.

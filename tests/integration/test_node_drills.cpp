@@ -542,6 +542,11 @@ TEST_F(NodeDrills, PartitionInsideTheGraceWindowIsReseated) {
       hist != nullptr ? hist->find("heartbeat_rtt_seconds") : nullptr;
   EXPECT_GE(num_at(rtt, "count").value_or(0.0), 1.0)
       << "no heartbeat RTTs were observed";
+  const Value* collect =
+      hist != nullptr ? hist->find("phase_duration_seconds{phase=collect}")
+                      : nullptr;
+  EXPECT_GE(num_at(collect, "count").value_or(0.0), 1.0)
+      << "no collect phase was observed";
 
   ASSERT_NE(stats, nullptr) << "no suspicion within the stop to probe";
   ASSERT_EQ(stats->wait(), 0);

@@ -2,11 +2,15 @@
 // central differences across a grid of geometries (batch sizes, channel
 // counts, strides, paddings). This is the property-style blanket over
 // the backprop engine — the MD-GAN feedback F_n is only as correct as
-// the input gradients of every layer in the discriminator stack.
+// the input gradients of every layer in the discriminator stack. The
+// same grid checks that each backward mode (input only, parameters
+// only) reproduces its part of the full pass bit for bit.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "helpers/gradient_check.hpp"
 #include "nn/activations.hpp"
@@ -86,6 +90,60 @@ TEST_P(GradientSweep, InputAndParamGradientsMatchFiniteDifference) {
       << c.name << " at " << res.worst_location;
   EXPECT_LT(res.max_param_error, c.tol)
       << c.name << " at " << res.worst_location;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+std::vector<std::vector<float>> grads_of(Layer& layer) {
+  std::vector<std::vector<float>> out;
+  for (Tensor* g : layer.grads()) out.push_back(g->vec());
+  return out;
+}
+
+bool same_bits(const std::vector<std::vector<float>>& a,
+               const std::vector<std::vector<float>>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same_bits(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+// Each backward mode produces exactly its part of the full pass: the
+// input-only dX is the full dX and leaves the gradient buffers as they
+// were; the parameter-only gradients are the full pass's, with no dX.
+TEST_P(GradientSweep, EachBackwardModeMatchesTheFullPassBitForBit) {
+  const auto& c = GetParam();
+  Rng rng(0x40de ^ std::hash<std::string>{}(c.name));
+  auto layer = c.make_layer(rng);
+  const Tensor x = Tensor::randn(c.input_shape, rng);
+  const Tensor upstream =
+      Tensor::randn(layer->forward(x, /*train=*/true).shape(), rng);
+
+  layer->zero_grad();
+  layer->forward(x, /*train=*/true);
+  const Tensor full_dx = layer->backward(upstream);
+  const auto full_grads = grads_of(*layer);
+
+  for (Tensor* g : layer->grads()) {
+    rng.fill_normal(g->data(), g->numel(), 0.f, 1.f);
+  }
+  const auto prefilled = grads_of(*layer);
+  layer->forward(x, /*train=*/true);
+  const Tensor& dx = layer->backward(upstream, Grads::kInput);
+  EXPECT_EQ(dx.shape(), full_dx.shape());
+  EXPECT_TRUE(same_bits(dx.vec(), full_dx.vec())) << "input-only dX";
+  EXPECT_TRUE(same_bits(grads_of(*layer), prefilled))
+      << "input-only pass touched the gradient buffers";
+
+  layer->zero_grad();
+  layer->forward(x, /*train=*/true);
+  EXPECT_TRUE(layer->backward(upstream, Grads::kParams).empty());
+  EXPECT_TRUE(same_bits(grads_of(*layer), full_grads))
+      << "parameter-only gradients";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -32,6 +32,66 @@ TEST(Sequential, ForwardChainsLayers) {
   EXPECT_GE(y.min(), -1.f);
 }
 
+// Identity layer that records the mode of every backward it runs.
+class ModeProbe : public Layer {
+ public:
+  explicit ModeProbe(std::vector<Grads>* log) : log_(log) {}
+  const Tensor& forward(const Tensor& x, bool) override {
+    y_ = x;
+    return y_;
+  }
+  void swap_cache(std::size_t) override {}
+  std::string name() const override { return "ModeProbe"; }
+
+ private:
+  const Tensor& do_backward(const Tensor& grad_out, Grads want) override {
+    log_->push_back(want);
+    dx_ = grad_out;
+    return dx_;
+  }
+  std::vector<Grads>* log_;
+  Tensor y_, dx_;
+};
+
+// Backward asks a layer for dX only while the caller wants dX or a
+// layer below it has parameters: with kParams alone, the lowest Dense
+// skips its dX and the probe below it does not run.
+TEST(Sequential, BackwardAsksEachLayerOnlyForWhatIsRead) {
+  Rng rng(73);
+  std::vector<Grads> bottom, middle, top;
+  Sequential s;
+  s.emplace<ModeProbe>(&bottom);
+  s.emplace<Dense>(4, 5);
+  s.emplace<ModeProbe>(&middle);
+  s.emplace<Dense>(5, 3);
+  s.emplace<ModeProbe>(&top);
+  he_init(s, rng);
+  const Tensor x = Tensor::randn({2, 4}, rng);
+  const Tensor g = Tensor::randn({2, 3}, rng);
+
+  for (Grads want : {Grads::kBoth, Grads::kInput, Grads::kParams}) {
+    bottom.clear();
+    middle.clear();
+    top.clear();
+    s.forward(x, true);
+    const Tensor& dx = s.backward(g, want);
+    EXPECT_EQ(dx.empty(), want == Grads::kParams);
+    const Grads above = want == Grads::kInput ? Grads::kInput : Grads::kBoth;
+    EXPECT_EQ(top, std::vector<Grads>{above});
+    EXPECT_EQ(middle, std::vector<Grads>{above});
+    EXPECT_EQ(bottom, want == Grads::kParams ? std::vector<Grads>{}
+                                             : std::vector<Grads>{want});
+  }
+
+  // A Sequential with no parameters runs nothing for kParams.
+  std::vector<Grads> lone;
+  Sequential p;
+  p.emplace<ModeProbe>(&lone);
+  p.forward(x, true);
+  EXPECT_TRUE(p.backward(x, Grads::kParams).empty());
+  EXPECT_TRUE(lone.empty());
+}
+
 TEST(Sequential, GradientCheckWholeNetwork) {
   Rng rng(72);
   Sequential s = make_mlp(rng);

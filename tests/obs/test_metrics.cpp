@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "common/alloc_tracker.hpp"
 #include "core/md_gan.hpp"
@@ -148,6 +150,42 @@ TEST(Registry, MatchesTransportAccountantExactly) {
   EXPECT_EQ(r.counter_value("rounds_total"), 4u);
   EXPECT_GT(r.counter_value("local_steps_total"), 0u);
   EXPECT_GT(r.counter_value("gen_updates_total"), 0u);
+}
+
+// The engine observes the wall seconds of every phase it runs into
+// phase_duration_seconds{phase=...}: once per round for the phases every
+// round runs, once per swap round for the swap.
+TEST(Sink, EngineObservesEveryPhaseDuration) {
+  const std::size_t n = 2;
+  Sink sink;
+  dist::SimNetwork net(n);
+  auto full = data::make_synthetic_digits(n * 16, 43);
+  Rng rng(43);
+  auto shards = data::split_iid(full, n, rng);
+  core::MdGanConfig cfg;
+  cfg.hp.batch = 8;
+  cfg.hp.disc_steps = 1;
+  cfg.k = 2;
+  cfg.sink = &sink;
+  core::MdGan md(gan::make_arch(gan::ArchKind::kMlpMnist), cfg,
+                 std::move(shards), 43, net);
+  const std::uint64_t rounds = 5;  // swap period 2: swaps at 2 and 4
+  md.train(static_cast<std::int64_t>(rounds));
+
+  Registry& r = sink.registry();
+  const auto phase = [&](const std::string& name) -> const Histogram& {
+    const std::string label = "phase=" + name;
+    EXPECT_TRUE(r.has(Registry::key_of("phase_duration_seconds", label)))
+        << name;
+    return r.histogram("phase_duration_seconds", {1.0}, label);
+  };
+  for (const std::string name : {"membership", "broadcast", "local",
+                                 "collect", "swap"}) {
+    const Histogram& h = phase(name);
+    EXPECT_EQ(h.count(), name == "swap" ? 2u : rounds) << name;
+    EXPECT_TRUE(std::isfinite(h.sum())) << name;
+    EXPECT_GE(h.sum(), 0.0) << name;
+  }
 }
 
 // The other acceptance bar: with no sink wired, the instrumented hot
